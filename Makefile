@@ -54,15 +54,13 @@ check:
 # Short-mode run of the compile fast-path micro-benchmarks; the fresh
 # baseline must have the same schema and latest benchmark set as the
 # committed one (ns/run drift is expected across machines and is not
-# checked), and the parallel solver must agree with the sequential one
-# (objective parity, pool-size determinism, seeding never adds nodes).
+# checked).
 bench-smoke:
 	rm -f /tmp/nisq-bench-compile.json
 	dune exec bench/main.exe -- micro-compile \
 	  --out /tmp/nisq-bench-compile.json > /dev/null
 	dune exec tools/jsonlint.exe -- --bench /tmp/nisq-bench-compile.json \
 	  BENCH_compile.json
-	dune exec bench/main.exe -- solver-par-check
 
 # Append today's entry to the committed baseline trajectory.
 bench-compile:

@@ -13,9 +13,6 @@
                                simulator weak/strong scaling sweep over
                                domains x qubits x trials; appends a dated
                                entry to BENCH_sim.json (default CWD)
-     main.exe solver-par-check assert the parallel solver matches the
-                               sequential one (objective parity, pool-size
-                               determinism, seeding never adds nodes)
      main.exe quick            figures with reduced trial counts
 
    Crash-safe long runs (see DESIGN.md §8):
@@ -125,26 +122,6 @@ let print_rows rows =
    cells fanned out). [micro-compile] runs only these, with a short
    quota, and writes the machine-readable baseline BENCH_compile.json
    that tools/jsonlint --bench checks in CI. *)
-(* The parallel-solver micro must run LAST: once its lazy pool spins
-   up, the extra domains join every minor-GC barrier and visibly slow
-   whatever single-domain benchmark runs next to it on small machines.
-   Every micro list flows through this assertion so a reordering (or an
-   appended benchmark) fails loudly at startup instead of silently
-   skewing the published numbers. *)
-let parallel_micro_name = "solver:placement-parallel"
-
-let assert_parallel_last tests =
-  (match List.rev tests with
-  | [] -> invalid_arg "bench: empty micro-benchmark list"
-  | last :: _ ->
-      let name = Bechamel.Test.name last in
-      if name <> parallel_micro_name then
-        invalid_arg
-          (Printf.sprintf
-             "bench: %s must be the last micro-benchmark, found %S last"
-             parallel_micro_name name));
-  tests
-
 let compile_path_tests () =
   let open Bechamel in
   let calib = Ibmq16.calibration ~day:0 () in
@@ -163,14 +140,6 @@ let compile_path_tests () =
     Nisq_compiler.Reliability.placement_problem paths ~omega:0.5
       ~policy:Config.One_bend bv8.Benchmarks.circuit
   in
-  let seed_bv8 =
-    Nisq_compiler.Layout.to_array
-      (Nisq_compiler.Greedy.edge_first paths bv8.Benchmarks.circuit)
-  in
-  (* The parallel micro runs on its own 4-worker pool, created on first
-     use and left to die with the process: Bechamel replays the staged
-     closure long after this constructor returns. *)
-  let solver_pool = lazy (Pool.create ~size:4 ()) in
   let stage f = Staged.stage f in
   [
     Test.make ~name:"solver:placement-dfs"
@@ -192,13 +161,7 @@ let compile_path_tests () =
                       Config.make (Config.R_smt_star 0.5);
                     ])
                 [ bv4; adder ])));
-    (* Keep this one LAST — [assert_parallel_last] enforces it. *)
-    Test.make ~name:parallel_micro_name
-      (stage (fun () ->
-           Nisq_solver.Parallel.solve_placement ~forbid ~seed:seed_bv8
-             ~pool:(Lazy.force solver_pool) problem_bv8));
   ]
-  |> assert_parallel_last
 
 let today_utc () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
@@ -526,102 +489,12 @@ let micro () =
                Nisq_obs.Events.emit ~domain:"bench" Nisq_obs.Events.Debug
                  "tick"));
       ]
-      @ compile_path_tests ()
-      |> assert_parallel_last)
+      @ compile_path_tests ())
   in
   let rows = measure ~quota:0.5 tests in
   print_endline "=== Bechamel micro-benchmarks (monotonic clock) ===";
   print_rows rows;
   print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* solver-par-check: the CI assertion behind the parallel-solver claims *)
-(* ------------------------------------------------------------------ *)
-
-(* Asserts, per instance: (1) the parallel fan-out returns the
-   sequential objective; (2) its trajectory is byte-identical at pool
-   sizes 0, 1 and 4 (assignment, objective bits, nodes_visited,
-   proven_optimal); (3) Greedy incumbent seeding never increases the
-   sequential node count. Exits 1 on any violation. *)
-let solver_par_check () =
-  let module Placement = Nisq_solver.Placement in
-  let module Parallel = Nisq_solver.Parallel in
-  let calib = Ibmq16.calibration ~day:0 () in
-  let paths = Nisq_device.Paths.make calib in
-  let forbid slot = not (Nisq_device.Calibration.qubit_live calib slot) in
-  let failures = ref 0 in
-  let check cond msg =
-    if not cond then begin
-      Printf.printf "  FAIL %s\n" msg;
-      incr failures
-    end
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  List.iter
-    (fun name ->
-      let b = Benchmarks.by_name name in
-      let problem =
-        Nisq_compiler.Reliability.placement_problem paths ~omega:0.5
-          ~policy:Config.One_bend b.Benchmarks.circuit
-      in
-      let seed =
-        Nisq_compiler.Layout.to_array
-          (Nisq_compiler.Greedy.edge_first paths b.Benchmarks.circuit)
-      in
-      let seq, seq_ms = time (fun () -> Placement.solve ~forbid problem) in
-      let seeded =
-        Placement.solve ~forbid
-          ~incumbent:(seed, Placement.score problem seed)
-          problem
-      in
-      let par_at size =
-        let pool = Pool.create ~size () in
-        Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-        time (fun () -> Parallel.solve_placement ~forbid ~seed ~pool problem)
-      in
-      let (p0, _), (p1, _), (p4, p4_ms) = (par_at 0, par_at 1, par_at 4) in
-      Printf.printf
-        "%-4s seq %6d nodes %7.1f ms obj %.6f | fanout@4 %6d nodes %7.1f ms \
-         obj %.6f\n"
-        name seq.Placement.stats.Nisq_solver.Budget.nodes_visited seq_ms
-        seq.Placement.objective
-        p4.Placement.stats.Nisq_solver.Budget.nodes_visited p4_ms
-        p4.Placement.objective;
-      check
-        (p4.Placement.objective = seq.Placement.objective)
-        "parallel objective differs from sequential";
-      check
-        (seeded.Placement.stats.Nisq_solver.Budget.nodes_visited
-        <= seq.Placement.stats.Nisq_solver.Budget.nodes_visited)
-        "greedy seeding increased the sequential node count";
-      List.iter
-        (fun (p : Placement.solution) ->
-          check
-            (p.Placement.assignment = p4.Placement.assignment)
-            "assignment differs across pool sizes";
-          check
-            (Int64.bits_of_float p.Placement.objective
-            = Int64.bits_of_float p4.Placement.objective)
-            "objective bits differ across pool sizes";
-          check
-            (p.Placement.stats.Nisq_solver.Budget.nodes_visited
-            = p4.Placement.stats.Nisq_solver.Budget.nodes_visited)
-            "nodes_visited differs across pool sizes";
-          check
-            (p.Placement.stats.Nisq_solver.Budget.proven_optimal
-            = p4.Placement.stats.Nisq_solver.Budget.proven_optimal)
-            "proven_optimal differs across pool sizes")
-        [ p0; p1 ])
-    [ "BV4"; "BV8" ];
-  if !failures > 0 then begin
-    Printf.printf "solver-par-check: %d failure(s)\n" !failures;
-    exit 1
-  end;
-  print_endline "solver-par-check: OK"
 
 (* ------------------------------------------------------------------ *)
 (* Run lifecycle: argument parsing, checkpointed dispatch, shutdown     *)
@@ -642,7 +515,7 @@ let usage () =
   Printf.eprintf
     "usage: main.exe [TARGET] [TRIALS] [--run-id ID] [--resume ID] \
      [--resume-force] [--deadline DUR] [--out PATH] [--smoke]\n\
-     TARGET: table2|fig1|fig5..fig11|ablations|micro|micro-compile|scale|solver-par-check|quick|all\n";
+     TARGET: table2|fig1|fig5..fig11|ablations|micro|micro-compile|scale|quick|all\n";
   exit 2
 
 let parse_args () =
@@ -770,7 +643,6 @@ let dispatch opts run =
               E.ablation_architecture ~trials ();
             ])
   | "micro" -> micro ()
-  | "solver-par-check" -> solver_par_check ()
   | "micro-compile" ->
       micro_compile
         ~out:(Option.value opts.out ~default:"BENCH_compile.json")
@@ -788,7 +660,7 @@ let dispatch opts run =
   | other ->
       Printf.eprintf
         "unknown argument %S (want \
-         table2|fig1|fig5..fig11|ablations|micro|micro-compile|scale|solver-par-check|quick|all)\n"
+         table2|fig1|fig5..fig11|ablations|micro|micro-compile|scale|quick|all)\n"
         other;
       exit 2
 
@@ -797,10 +669,6 @@ let () =
   Nisq_obs.Telemetry.set_sink Atomic_io.write_file;
   Nisq_obs.Telemetry.init_from_env ();
   Nisq_faultkit.Faultkit.init_from_env ();
-  (* NISQ_SOLVER_DOMAINS/NISQ_SOLVER_PORTFOLIO switch the compile paths
-     inside figure cells onto the parallel solver, exactly as in nisqc;
-     the CI bench-smoke matrix runs this binary at 0, 1 and 4. *)
-  Nisq_solver.Parallel.init_from_env ();
   Deadline.init_from_env ();
   Option.iter Deadline.arm_seconds opts.deadline;
   Signals.install ();

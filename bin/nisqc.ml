@@ -228,7 +228,7 @@ let inject_arg =
     & opt (some string) None
     & info [ "inject" ] ~docv:"SPEC"
         ~doc:
-          "Deterministically inject faults for resilience testing, e.g.            $(b,calib:nan\\@q3;solver:blow;pool:crash\\@chunk7). Env:            $(b,NISQ_FAULTS).")
+          "Deterministically inject faults for resilience testing, e.g.            $(b,calib:nan@q3;solver:blow;pool:crash@chunk7). Env:            $(b,NISQ_FAULTS).")
 
 let deadline_conv =
   let parse s =
@@ -315,15 +315,7 @@ let ledger_of ~identity ~run_id ~resume ~force =
   | None, Some id -> Some (Ledger.start ~run_id:id ~identity ())
   | None, None -> None
 
-let solver_domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "solver-domains" ] ~docv:"N"
-        ~doc:
-          "Enable the deterministic parallel solver with $(docv) dedicated            worker domains ($(docv) = 0 runs the same parallel algorithm            on a sequential pool — assignment, objective and node counts            are byte-identical for every $(docv)). Env:            $(b,NISQ_SOLVER_DOMAINS); set $(b,NISQ_SOLVER_PORTFOLIO=1) to            race variable orderings instead of fanning out subtrees.")
-
-let setup_telemetry ?inject ?solver_domains ?events ?prom ?report trace metrics =
+let setup_telemetry ?inject ?events ?prom ?report trace metrics =
   (* The obs layer cannot link runkit; upgrade its file writer to the
      crash-safe one here, once, before anything can flush. *)
   Telemetry.set_sink Atomic_io.write_file;
@@ -338,10 +330,6 @@ let setup_telemetry ?inject ?solver_domains ?events ?prom ?report trace metrics 
          metrics table. *)
       Report.set_enabled true;
       Obs_metrics.set_enabled true
-  | None -> ());
-  Nisq_solver.Parallel.init_from_env ();
-  (match solver_domains with
-  | Some n -> Nisq_solver.Parallel.configure ~domains:n ()
   | None -> ());
   Faultkit.init_from_env ();
   match inject with
@@ -494,9 +482,9 @@ let describe_result name (r : Compile.t) =
 
 let compile_cmd =
   let run program method_ routing movement day seed emit_qasm diagram trace
-      metrics events prom report inject deadline solver_domains connect
+      metrics events prom report inject deadline connect
       calib_file calib_prev =
-    setup_telemetry ?inject ?solver_domains ?events ?prom ?report trace metrics;
+    setup_telemetry ?inject ?events ?prom ?report trace metrics;
     match connect with
     | Some socket ->
         reject_remote_calib calib_file calib_prev;
@@ -545,15 +533,15 @@ let compile_cmd =
       const run $ program_arg $ method_arg $ routing_arg $ movement_arg
       $ day_arg $ seed_arg $ qasm_arg $ diagram_arg $ trace_arg $ metrics_arg
       $ events_arg $ prom_arg $ report_arg $ inject_arg $ deadline_arg
-      $ solver_domains_arg $ connect_arg $ calib_file_arg $ calib_prev_arg)
+      $ connect_arg $ calib_file_arg $ calib_prev_arg)
 
 (* -------------------------------- run ------------------------------ *)
 
 let run_cmd =
   let run program method_ routing movement day seed trials sim_seed trace
-      metrics events prom inject deadline run_id resume force solver_domains
-      connect calib_file calib_prev =
-    setup_telemetry ?inject ?solver_domains ?events ?prom trace metrics;
+      metrics events prom inject deadline run_id resume force connect
+      calib_file calib_prev =
+    setup_telemetry ?inject ?events ?prom trace metrics;
     (match connect with
     | Some socket ->
         reject_remote_calib calib_file calib_prev;
@@ -673,8 +661,8 @@ let run_cmd =
       const run $ program_arg $ method_arg $ routing_arg $ movement_arg
       $ day_arg $ seed_arg $ trials_arg $ sim_seed_arg $ trace_arg
       $ metrics_arg $ events_arg $ prom_arg $ inject_arg $ deadline_arg
-      $ run_id_arg $ resume_arg $ resume_force_arg $ solver_domains_arg
-      $ connect_arg $ calib_file_arg $ calib_prev_arg)
+      $ run_id_arg $ resume_arg $ resume_force_arg $ connect_arg
+      $ calib_file_arg $ calib_prev_arg)
 
 (* ---------------------------- calibration -------------------------- *)
 

@@ -122,7 +122,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "inject" ] ~docv:"SPEC"
           ~doc:
-            "Deterministic fault injection, e.g.            $(b,net:torn\\@req2;server:crash-handler\\@req5). Env:            $(b,NISQ_FAULTS).")
+            "Deterministic fault injection, e.g.            $(b,net:torn@req2;server:crash-handler@req5). Env:            $(b,NISQ_FAULTS).")
   in
   let events_arg =
     Arg.(

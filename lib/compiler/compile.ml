@@ -70,19 +70,14 @@ let layout_memo :
 let layout_salt (config : Config.t) (program : Circuit.t) =
   Digest.to_hex
     (Digest.string
-       (* The solver mode is part of the key: parallel (seeded) and
-          sequential solves tie-break differently, so a layout cached
-          under one mode must not be replayed under another. Pool sizes
-          share entries — trajectories agree across them by design. *)
-       (Nisq_solver.Parallel.mode_tag ()
-       ^ Marshal.to_string
-           ( config.Config.method_,
-             config.Config.routing,
-             config.Config.budget,
-             program.Circuit.name,
-             program.Circuit.num_qubits,
-             program.Circuit.gates )
-           []))
+       (Marshal.to_string
+          ( config.Config.method_,
+            config.Config.routing,
+            config.Config.budget,
+            program.Circuit.name,
+            program.Circuit.num_qubits,
+            program.Circuit.gates )
+          []))
 
 type t = {
   config : Config.t;
@@ -151,7 +146,7 @@ let solver_report solver_stats rung =
         {
           Report.rung =
             (match rung with Some r -> rung_name r | None -> "-");
-          mode = Nisq_solver.Parallel.mode_tag ();
+          mode = "seq";
           nodes_visited = s.Nisq_solver.Budget.nodes_visited;
           elapsed_seconds = s.Nisq_solver.Budget.elapsed_seconds;
           proven_optimal = s.Nisq_solver.Budget.proven_optimal;

@@ -41,7 +41,7 @@ type t = {
   report : Nisq_obs.Report.t option;
       (** Explain report, assembled iff [Nisq_obs.Report.enabled ()] at
           compile time: ESP decomposition, solver evidence (rung, bound
-          ladder, parallel mode), cache hit/miss provenance and
+          ladder), cache hit/miss provenance and
           per-phase wall/GC stats. Collection never changes the compile
           itself — output and metrics are byte-identical either way. *)
 }

@@ -2,23 +2,12 @@ module Paths = Nisq_device.Paths
 module Topology = Nisq_device.Topology
 module Calibration = Nisq_device.Calibration
 module Placement = Nisq_solver.Placement
-module Parallel = Nisq_solver.Parallel
 
 let compile_layout ~decision_paths ~omega ~policy ~budget circuit =
   let problem = Reliability.placement_problem decision_paths ~omega ~policy circuit in
   let calib = Paths.calibration decision_paths in
   let forbid slot = not (Calibration.qubit_live calib slot) in
-  let solution =
-    if Parallel.enabled () then
-      (* Method-matched incumbent: GreedyE⋆ optimizes the same weighted
-         reliability objective, so its score is an immediately useful
-         bound. Opt-in because seeding changes tie-breaking (the seed
-         wins exact objective ties). *)
-      let seed = Layout.to_array (Greedy.edge_first decision_paths circuit) in
-      Parallel.solve_placement ~budget ~forbid ~seed ~pool:(Parallel.pool ())
-        problem
-    else Placement.solve ~budget ~forbid problem
-  in
+  let solution = Placement.solve ~budget ~forbid problem in
   let num_hw = Topology.num_qubits calib.Calibration.topology in
   ( Layout.of_array ~num_hw solution.Placement.assignment,
     solution.Placement.stats,

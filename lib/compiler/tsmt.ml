@@ -5,7 +5,6 @@ module Calibration = Nisq_device.Calibration
 module Topology = Nisq_device.Topology
 module Paths = Nisq_device.Paths
 module Makespan = Nisq_solver.Makespan
-module Parallel = Nisq_solver.Parallel
 
 let coherence_penalty = 1_000_000
 
@@ -73,12 +72,6 @@ let compile_layout ~decision_paths ~policy ~criterion ~budget
   let degrees = Circuit.qubit_degrees circuit in
   let order = Array.init num_items Fun.id in
   Array.sort (fun a b -> compare degrees.(b) degrees.(a)) order;
-  (* Everything above is immutable once built and shared freely across
-     domains. The bound evaluator below is stateful (placement diffing,
-     reused finish/prefix buffers), so each caller — the sequential
-     solve, and every parallel subtree worker — gets a private instance
-     from this thunk. *)
-  let make_problem () =
   (* The branch-and-bound probes sibling candidates that differ from the
      previous probe in one or two entries, so the evaluator diffs the
      placement against the last one it saw and recomputes finish times
@@ -135,22 +128,15 @@ let compile_layout ~decision_paths ~policy ~criterion ~budget
     if violations = [] then sched.Schedule.makespan
     else sched.Schedule.makespan + coherence_penalty
   in
-  {
-    Makespan.num_items;
-    num_slots = num_hw;
-    order = Some order;
-    lower_bound;
-    leaf_cost;
-  }
+  let problem =
+    {
+      Makespan.num_items;
+      num_slots = num_hw;
+      order = Some order;
+      lower_bound;
+      leaf_cost;
+    }
   in
   let forbid slot = not (Calibration.qubit_live calib slot) in
-  let solution =
-    if Parallel.enabled () then
-      (* Method-matched incumbent: GreedyV⋆ chases the same critical-path
-         objective. Opt-in, as with R-SMT⋆ (the seed wins exact ties). *)
-      let seed = Layout.to_array (Greedy.vertex_first decision_paths circuit) in
-      Parallel.solve_makespan ~budget ~forbid ~seed ~pool:(Parallel.pool ())
-        make_problem
-    else Makespan.solve ~budget ~forbid (make_problem ())
-  in
+  let solution = Makespan.solve ~budget ~forbid problem in
   (Layout.of_array ~num_hw solution.Makespan.assignment, solution.Makespan.stats)

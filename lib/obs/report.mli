@@ -4,7 +4,7 @@
     predicted ESP comes from (per-site reliability terms and the
     routing overhead paid versus an untouched-circuit bound), what the
     solver did (fallback rung, nodes, per-level bound-ladder hits,
-    proof status, parallel mode), which caches served the compile, and
+    proof status), which caches served the compile, and
     where the wall-clock went. The compiler assembles a {!t} when
     {!enabled}; [nisqc compile --report FILE] writes {!to_json}
     atomically.
@@ -44,7 +44,9 @@ type esp = {
 
 type solver = {
   rung : string;  (** fallback-ladder rung: ["full"] etc. *)
-  mode : string;  (** parallel mode tag: ["seq"], ["fanout"], ... *)
+  mode : string;
+      (** solver mode tag; always ["seq"] (the field is kept so the
+          [nisq-report/1] schema is unchanged) *)
   nodes_visited : int;
   elapsed_seconds : float;
   proven_optimal : bool;

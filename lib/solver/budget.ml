@@ -19,17 +19,6 @@ type stats = {
   bound_hits : (string * int) list;
 }
 
-(* Keyed sum of two hit lists; key order follows [a] with [b]'s extra
-   keys appended, so merging preserves the ladder's level order. *)
-let merge_hits a b =
-  let merged =
-    List.map
-      (fun (k, va) ->
-        (k, va + Option.value (List.assoc_opt k b) ~default:0))
-      a
-  in
-  merged @ List.filter (fun (k, _) -> not (List.mem_assoc k a)) b
-
 module Clock = struct
   type nonrec t = {
     budget : t;

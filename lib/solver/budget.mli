@@ -19,20 +19,8 @@ val seconds : float -> t
 val make : ?max_nodes:int -> ?max_seconds:float -> unit -> t
 
 type stats = {
-  nodes_visited : int;
-      (** Search-tree nodes expanded. For a parallel solve
-          ({!Parallel}), this is the {e sum} over all subtree searches —
-          a work count, not a wall-clock proxy — and is byte-identical
-          across pool sizes because the subtree decomposition and every
-          incumbent handoff are pool-size-independent. *)
-  elapsed_seconds : float;
-      (** Wall-clock duration of the whole solve, start to finish. For a
-          parallel solve this is measured once around the entire fan-out
-          — {e not} the sum of per-subtree clocks, which would
-          double-count overlapping work and shrink with pool size. The
-          two fields deliberately diverge under parallelism:
-          [nodes_visited] stays deterministic while [elapsed_seconds]
-          reflects real time. *)
+  nodes_visited : int;  (** search-tree nodes expanded *)
+  elapsed_seconds : float;  (** wall-clock duration of the solve *)
   proven_optimal : bool;
       (** true iff the search space was exhausted within budget *)
   degraded : bool;
@@ -43,15 +31,9 @@ type stats = {
       (** Per-level admissible-bound prune counts, in ladder order
           (for {!Placement}: ["static"], ["cheap"], ["tight"],
           ["matching"]). Searches without a bound ladder report [[]].
-          Like [nodes_visited], these are sums of deterministic
-          per-subtree counts, byte-identical across pool sizes. *)
+          Like [nodes_visited], a pure function of the problem under a
+          node budget. *)
 }
-
-val merge_hits :
-  (string * int) list -> (string * int) list -> (string * int) list
-(** Keyed elementwise sum; key order follows the first argument (extra
-    keys from the second are appended). Used by [Parallel] to fold
-    per-subtree ladders into one. *)
 
 (** Internal budget-tracking clock handed to searches. *)
 module Clock : sig

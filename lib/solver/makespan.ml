@@ -28,8 +28,7 @@ let validate ~forbid p =
     invalid_arg "Makespan: bad order length";
   order
 
-let solve ?(budget = Budget.unlimited) ?(forbid = fun _ -> false) ?incumbent
-    ?prefix p =
+let solve ?(budget = Budget.unlimited) ?(forbid = fun _ -> false) p =
   let n = p.num_items and s = p.num_slots in
   let order = validate ~forbid p in
   let clock = Budget.Clock.start budget in
@@ -42,16 +41,6 @@ let solve ?(budget = Budget.unlimited) ?(forbid = fun _ -> false) ?incumbent
   let used = Array.make s false in
   let best = Array.make n (-1) in
   let best_cost = ref Int.max_int in
-  (* Seeded incumbent: pruning bites from node one, and on an exact cost
-     tie the incumbent's assignment is returned (candidate gathering and
-     leaf acceptance are both strict [<]). A seeded search visits a
-     subset of the unseeded search's nodes. *)
-  (match incumbent with
-  | None -> ()
-  | Some (a, cost) ->
-      if Array.length a <> n then invalid_arg "Makespan: incumbent length mismatch";
-      Array.blit a 0 best 0 n;
-      best_cost := cost);
   let blown = ref false in
   (* Preallocated per-depth candidate arrays, filled and sorted in place.
      Candidates are gathered in descending slot order and sorted with a
@@ -116,30 +105,12 @@ let solve ?(budget = Budget.unlimited) ?(forbid = fun _ -> false) ?incumbent
       done
     end
   in
-  (* Replay a frontier prefix: slot [pre.(pos)] for item [order.(pos)].
-     Bookkeeping, not search — no budget ticks, no bound calls. *)
-  let start_pos =
-    match prefix with
-    | None -> 0
-    | Some pre ->
-        let d = Array.length pre in
-        if d > n then invalid_arg "Makespan: prefix longer than item count";
-        for pos = 0 to d - 1 do
-          let slot = pre.(pos) in
-          if slot < 0 || slot >= s || used.(slot) || forbid slot then
-            invalid_arg "Makespan: bad prefix slot";
-          placement.(order.(pos)) <- slot;
-          used.(slot) <- true
-        done;
-        d
-  in
-  dfs start_pos;
-  (* If the budget blew before any leaf (and no incumbent was supplied),
-     fall back to a greedy completion ignoring bounds — and ignoring any
-     prefix — so callers always get an assignment. *)
-  if !best_cost = Int.max_int && Array.exists (fun v -> v = -1) best then begin
-    Array.fill placement 0 n (-1);
-    Array.fill used 0 s false;
+  dfs 0;
+  (* If no leaf was accepted (the budget blew before any, or every leaf
+     was infeasible), fall back to a greedy completion ignoring bounds so
+     callers always get an assignment. The DFS leaves [placement] and
+     [used] cleared on every exit path. *)
+  if !best_cost = Int.max_int then begin
     Array.iter
       (fun item ->
         let chosen = ref (-1) and chosen_lb = ref Int.max_int in
@@ -170,65 +141,3 @@ let solve ?(budget = Budget.unlimited) ?(forbid = fun _ -> false) ?incumbent
       Budget.Clock.stats clock ~exhausted:(not !blown)
         ~bound_hits:[ ("lower_bound", !hit_lower) ];
   }
-
-let frontier ?(forbid = fun _ -> false) ~depth p =
-  let n = p.num_items and s = p.num_slots in
-  let order = validate ~forbid p in
-  let depth = Int.max 0 (Int.min depth n) in
-  if depth = 0 then [| [||] |]
-  else begin
-    (* Enumerate every feasible prefix of the first [depth] order
-       positions, children sorted by ascending lower bound exactly as
-       the DFS explores them (no [best_cost] filter: a fresh search has
-       none, and the union of subtrees must cover the whole space). *)
-    let evals = ref 0 in
-    let placement = Array.make n (-1) in
-    let used = Array.make s false in
-    let cand_slot = Array.init depth (fun _ -> Array.make s 0) in
-    let cand_lb = Array.init depth (fun _ -> Array.make s 0) in
-    let out = ref [] in
-    let pre = Array.make depth (-1) in
-    let rec go pos =
-      if pos = depth then out := Array.copy pre :: !out
-      else begin
-        let item = order.(pos) in
-        let slots = cand_slot.(pos) and lbs = cand_lb.(pos) in
-        let k = ref 0 in
-        for slot = s - 1 downto 0 do
-          if not used.(slot) && not (forbid slot) then begin
-            placement.(item) <- slot;
-            let lb = p.lower_bound placement in
-            placement.(item) <- -1;
-            Stdlib.incr evals;
-            slots.(!k) <- slot;
-            lbs.(!k) <- lb;
-            incr k
-          end
-        done;
-        let k = !k in
-        for i = 1 to k - 1 do
-          let lb = lbs.(i) and sl = slots.(i) in
-          let j = ref (i - 1) in
-          while !j >= 0 && lb < lbs.(!j) do
-            lbs.(!j + 1) <- lbs.(!j);
-            slots.(!j + 1) <- slots.(!j);
-            decr j
-          done;
-          lbs.(!j + 1) <- lb;
-          slots.(!j + 1) <- sl
-        done;
-        for c = 0 to k - 1 do
-          let slot = slots.(c) in
-          pre.(pos) <- slot;
-          placement.(item) <- slot;
-          used.(slot) <- true;
-          go (pos + 1);
-          used.(slot) <- false;
-          placement.(item) <- -1
-        done
-      end
-    in
-    go 0;
-    Nisq_obs.Metrics.add m_evals !evals;
-    Array.of_list (List.rev !out)
-  end

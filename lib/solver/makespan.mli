@@ -28,29 +28,10 @@ type solution = {
 }
 
 val solve :
-  ?budget:Budget.t ->
-  ?forbid:(int -> bool) ->
-  ?incumbent:int array * int ->
-  ?prefix:int array ->
-  problem ->
-  solution
+  ?budget:Budget.t -> ?forbid:(int -> bool) -> problem -> solution
 (** [forbid slot] excludes a slot from every assignment (quarantined
     hardware); raises [Invalid_argument] if fewer than [num_items] slots
-    remain.
-
-    For {!Parallel}: [incumbent (a, cost)] starts the search with [a] as
-    the best-known assignment at [cost] — only strictly cheaper leaves
-    replace it, so on an exact cost tie the incumbent is returned, and a
-    seeded search visits a subset of the unseeded search's nodes.
-    [prefix] pins order positions [0 .. d-1] to the given slots (a row of
-    {!frontier}) and searches only that subtree; prefix placements cost
-    no budget nodes. If the budget blows before any leaf and no incumbent
-    was supplied, the greedy fallback ignores the prefix (feasibility
-    wins over subtree membership). *)
-
-val frontier : ?forbid:(int -> bool) -> depth:int -> problem -> int array array
-(** All feasible prefixes of the first [depth] order positions ([depth]
-    clamped to [0 .. num_items]), each usable as [solve ~prefix], in the
-    exact ascending-lower-bound child order the DFS explores. [depth = 0]
-    returns [[| [||] |]]. Calls [lower_bound] (stateful callers must pass
-    the same instance they will solve with, or a fresh one). *)
+    remain. Only strictly cheaper leaves replace the best-found
+    assignment. If no leaf is accepted (the budget blew before any, or
+    every leaf was infeasible), a greedy completion (best lower bound per
+    item, in order) is returned, so callers always get an assignment. *)

@@ -64,7 +64,7 @@ let matrix_max m =
 let m_evals = Nisq_obs.Metrics.counter "solver.constraint_evals"
 
 (* Per-level bound-ladder prune tallies; deterministic for the same
-   reason node counts are (the subtree trajectories are). *)
+   reason node counts are (the search trajectory is). *)
 let m_bound_static = Nisq_obs.Metrics.counter "solver.bound.static"
 let m_bound_cheap = Nisq_obs.Metrics.counter "solver.bound.cheap"
 let m_bound_tight = Nisq_obs.Metrics.counter "solver.bound.tight"
@@ -84,49 +84,9 @@ let involvement_order pairs n =
   Array.sort (fun a b -> Float.compare involvement.(b) involvement.(a)) order;
   order
 
-let default_order p =
-  validate p;
-  involvement_order (merged_pairs p) p.num_items
-
-let check_order n = function
-  | None -> ()
-  | Some o ->
-      if Array.length o <> n then invalid_arg "Placement: bad order length";
-      let seen = Array.make n false in
-      Array.iter
-        (fun i ->
-          if i < 0 || i >= n || seen.(i) then
-            invalid_arg "Placement: order is not a permutation";
-          seen.(i) <- true)
-        o
-
-(* Immutable, shareable half of the search state: the variable order and
-   every admissible-bound table. Building these costs a stack of sorts
-   (unary ranks, pair-cell rankings); one [tables] value can serve many
-   searches — including concurrent subtree searches on other domains,
-   which only need their own [engine] scratch. [t_forbid] is shared too:
-   it must be safe to call from any domain (the calibration lookups the
-   compiler passes are pure). *)
-type tables = {
-  t_p : problem;
-  t_n : int;
-  t_s : int;
-  t_forbid : int -> bool;
-  t_banned : bool array;
-  t_order : int array;
-  t_optimistic : float array;
-  t_pair_max_into : float array;
-  t_unary_rank : int array array;
-  t_ep_partner : int array array;
-  t_ep_mat : float array array array;
-  t_ep_rowmax : float array array array;
-  t_ep_gmax : float array array;
-}
-
-(* Precomputed search state shared by [solve] and [frontier]: the
-   variable order, the admissible bound tables, and the preallocated
-   per-depth scratch of the allocation-free DFS. One engine serves one
-   search — [placed]/[used] are mutable scratch, not shared state. *)
+(* Search state for one solve: the variable order, the admissible-bound
+   tables (slot rankings, pair-cell rankings, the static bound), and the
+   preallocated per-depth scratch of the allocation-free DFS. *)
 type engine = {
   p : problem;
   n : int;
@@ -135,7 +95,6 @@ type engine = {
   banned : bool array;
   order : int array;
   optimistic : float array;
-  pair_max_into : float array;
   unary_rank : int array array;
   ep_partner : int array array;
   ep_mat : float array array array;
@@ -167,7 +126,7 @@ type engine = {
   evals : int ref;
 }
 
-let make_tables ?(forbid = fun _ -> false) ?order p =
+let make_engine ~forbid ~evals p =
   validate p;
   let pairs = merged_pairs p in
   let n = p.num_items and s = p.num_slots in
@@ -183,12 +142,7 @@ let make_tables ?(forbid = fun _ -> false) ?order p =
   done;
   if !allowed < n then
     invalid_arg "Placement: fewer live slots than items (quarantine)";
-  check_order n order;
-  let order =
-    match order with
-    | Some o -> Array.copy o
-    | None -> involvement_order pairs n
-  in
+  let order = involvement_order pairs n in
   (* rank.(item) = position in placement order *)
   let rank = Array.make n 0 in
   Array.iteri (fun pos item -> rank.(item) <- pos) order;
@@ -266,39 +220,18 @@ let make_tables ?(forbid = fun _ -> false) ?order p =
         slots)
   in
   {
-    t_p = p;
-    t_n = n;
-    t_s = s;
-    t_forbid = forbid;
-    t_banned = banned;
-    t_order = order;
-    t_optimistic = optimistic;
-    t_pair_max_into = pair_max_into;
-    t_unary_rank = unary_rank;
-    t_ep_partner = ep_partner;
-    t_ep_mat = ep_mat;
-    t_ep_rowmax = ep_rowmax;
-    t_ep_gmax = ep_gmax;
-  }
-
-(* Per-search mutable scratch around shared tables; cheap (a handful of
-   small array allocations) next to the sorts [make_tables] pays. *)
-let engine_of_tables ~evals t =
-  let n = t.t_n and s = t.t_s in
-  {
-    p = t.t_p;
+    p;
     n;
     s;
-    forbid = t.t_forbid;
-    banned = t.t_banned;
-    order = t.t_order;
-    optimistic = t.t_optimistic;
-    pair_max_into = t.t_pair_max_into;
-    unary_rank = t.t_unary_rank;
-    ep_partner = t.t_ep_partner;
-    ep_mat = t.t_ep_mat;
-    ep_rowmax = t.t_ep_rowmax;
-    ep_gmax = t.t_ep_gmax;
+    forbid;
+    banned;
+    order;
+    optimistic;
+    unary_rank;
+    ep_partner;
+    ep_mat;
+    ep_rowmax;
+    ep_gmax;
     placed = Array.make n (-1);
     used = Array.make s false;
     (* Preallocated per-depth candidate arrays: the DFS inner loop fills
@@ -550,43 +483,13 @@ let dynamic_rest_matching eng pos =
     !total
   end
 
-(* Replay a frontier prefix: slot [pre.(pos)] for item [eng.order.(pos)].
-   Prefix placements are bookkeeping, not search — they pay constraint
-   evaluations (deterministically) but no budget ticks. *)
-let apply_prefix eng prefix =
-  match prefix with
-  | None -> (0, 0.0)
-  | Some pre ->
-      let d = Array.length pre in
-      if d > eng.n then invalid_arg "Placement: prefix longer than item count";
-      let acc = ref 0.0 in
-      for pos = 0 to d - 1 do
-        let slot = pre.(pos) in
-        if slot < 0 || slot >= eng.s || eng.used.(slot) || eng.forbid slot then
-          invalid_arg "Placement: bad prefix slot";
-        let item = eng.order.(pos) in
-        let inc = incremental eng item slot in
-        eng.placed.(item) <- slot;
-        eng.used.(slot) <- true;
-        acc := !acc +. inc
-      done;
-      (d, !acc)
-
-let run eng ~budget ~incumbent ~prefix =
+let run eng ~budget =
   let n = eng.n and s = eng.s in
   let clock = Budget.Clock.start budget in
   let placed = eng.placed and used = eng.used in
   let best = Array.make n (-1) in
   let best_score = ref neg_infinity in
   let have_solution = ref false in
-  (match incumbent with
-  | None -> ()
-  | Some (a, obj) ->
-      if Array.length a <> n then
-        invalid_arg "Placement: incumbent length mismatch";
-      Array.blit a 0 best 0 n;
-      best_score := obj;
-      have_solution := true);
   let blown = ref false in
   let hit_static = ref 0
   and hit_cheap = ref 0
@@ -686,8 +589,7 @@ let run eng ~budget ~incumbent ~prefix =
       complete_greedily (pos + 1) (acc +. !best_inc)
     end
   in
-  let start_pos, start_acc = apply_prefix eng prefix in
-  dfs start_pos start_acc;
+  dfs 0 0.0;
   Nisq_obs.Metrics.add m_bound_static !hit_static;
   Nisq_obs.Metrics.add m_bound_cheap !hit_cheap;
   Nisq_obs.Metrics.add m_bound_tight !hit_tight;
@@ -706,61 +608,15 @@ let run eng ~budget ~incumbent ~prefix =
           ];
   }
 
-let prepare ?forbid ?order p = make_tables ?forbid ?order p
-
-let solve_prepared ?(budget = Budget.unlimited) ?incumbent ?prefix t =
+let solve ?(budget = Budget.unlimited) ?(forbid = fun _ -> false) p =
   (* Everything past validation counts constraint evaluations, and
      [forbid] is caller code that may raise (fault injection, a live-slot
      probe hitting corrupted state). Publish the tally on every exit so
      the counter never undercounts. *)
   let evals = ref 0 in
+  let eng = make_engine ~forbid ~evals p in
   Fun.protect ~finally:(fun () -> Nisq_obs.Metrics.add m_evals !evals)
-  @@ fun () ->
-  let eng = engine_of_tables ~evals t in
-  run eng ~budget ~incumbent ~prefix
-
-let solve ?budget ?(forbid = fun _ -> false) ?order ?incumbent ?prefix p =
-  solve_prepared ?budget ?incumbent ?prefix (make_tables ~forbid ?order p)
-
-let frontier_prepared ~depth t =
-  let evals = ref 0 in
-  Fun.protect ~finally:(fun () -> Nisq_obs.Metrics.add m_evals !evals)
-  @@ fun () ->
-  let eng = engine_of_tables ~evals t in
-  let depth = Int.max 0 (Int.min depth eng.n) in
-  if depth = 0 then [| [||] |]
-  else begin
-    (* Enumerate every feasible prefix of the first [depth] order
-       positions, in exactly the (score desc, slot asc) order the DFS
-       explores children — so solving the subtrees in frontier order and
-       merging in submission order reproduces the sequential anytime
-       trajectory. No pruning here: the union of subtrees must cover the
-       whole space for the merged [proven_optimal] verdict to be sound. *)
-    let out = ref [] in
-    let pre = Array.make depth (-1) in
-    let rec go pos =
-      if pos = depth then out := Array.copy pre :: !out
-      else begin
-        let k = fill_candidates eng pos in
-        let slots = eng.cand_slot.(pos) in
-        let item = eng.order.(pos) in
-        for c = 0 to k - 1 do
-          let slot = slots.(c) in
-          pre.(pos) <- slot;
-          eng.placed.(item) <- slot;
-          eng.used.(slot) <- true;
-          go (pos + 1);
-          eng.used.(slot) <- false;
-          eng.placed.(item) <- -1
-        done
-      end
-    in
-    go 0;
-    Array.of_list (List.rev !out)
-  end
-
-let frontier ?(forbid = fun _ -> false) ?order ~depth p =
-  frontier_prepared ~depth (make_tables ~forbid ?order p)
+  @@ fun () -> run eng ~budget
 
 let brute_force p =
   validate p;

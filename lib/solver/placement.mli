@@ -37,74 +37,15 @@ type solution = {
   stats : Budget.stats;
 }
 
-val solve :
-  ?budget:Budget.t ->
-  ?forbid:(int -> bool) ->
-  ?order:int array ->
-  ?incumbent:int array * float ->
-  ?prefix:int array ->
-  problem ->
-  solution
+val solve : ?budget:Budget.t -> ?forbid:(int -> bool) -> problem -> solution
 (** Raises [Invalid_argument] on malformed problems (more items than
     slots, bad matrix dimensions, out-of-range pair indices). Always
     returns a feasible assignment: even when the budget is blown, the
     first DFS descent has completed. [forbid slot] excludes a slot from
     every assignment (quarantined hardware); raises [Invalid_argument]
-    if fewer than [num_items] slots remain.
-
-    The remaining options exist for {!Parallel}:
-
-    - [order] overrides the involvement-sorted variable order with an
-      explicit permutation of [0 .. num_items-1] (portfolio racing).
-    - [incumbent (a, obj)] starts the search with [a] as the best-known
-      assignment at objective [obj], so pruning bites from node one.
-      Only strictly better leaves replace it: on an exact objective tie
-      the incumbent's assignment is returned, which is why the default
-      compile path stays unseeded. A seeded search visits a subset of
-      the unseeded search's nodes (the bound is never weaker along the
-      identical exploration order), so seeding never increases
-      [nodes_visited].
-    - [prefix] pins order positions [0 .. d-1] to the given slots (a row
-      of {!frontier}) and searches only the subtree below; prefix
-      placements count constraint evaluations but no budget nodes. *)
-
-val default_order : problem -> int array
-(** The involvement-sorted variable order [solve] uses when [?order] is
-    omitted — the identity baseline for portfolio orderings. *)
-
-type tables
-(** The immutable half of the search state: variable order plus every
-    admissible-bound table (slot rankings, pair-cell rankings,
-    assignment-bound weights). Building one costs a stack of sorts;
-    sharing one across searches amortizes that. [tables] is read-only
-    after construction and safe to share across domains — each search
-    allocates its own mutable scratch. *)
-
-val prepare : ?forbid:(int -> bool) -> ?order:int array -> problem -> tables
-(** Validates the problem and builds the shared tables. Raises
-    [Invalid_argument] exactly where {!solve} would. *)
-
-val solve_prepared :
-  ?budget:Budget.t ->
-  ?incumbent:int array * float ->
-  ?prefix:int array ->
-  tables ->
-  solution
-(** [solve] against pre-built tables: identical results, none of the
-    per-call sorting. This is what {!Parallel} calls per subtree. *)
-
-val frontier_prepared : depth:int -> tables -> int array array
-(** {!frontier} against pre-built tables. *)
-
-val frontier :
-  ?forbid:(int -> bool) -> ?order:int array -> depth:int -> problem ->
-  int array array
-(** All feasible prefixes of the first [depth] variable-order positions
-    ([depth] is clamped to [0 .. num_items]), each a slot array usable as
-    [solve ~prefix], listed in the exact child order the DFS explores.
-    Together the subtrees partition the search space: solving each and
-    merging in frontier order is equivalent to the sequential search.
-    [depth = 0] returns [[| [||] |]] (the whole space as one subtree). *)
+    if fewer than [num_items] slots remain. Only strictly better leaves
+    replace the best-found assignment, so among equal-objective optima
+    the first one the search order reaches is returned. *)
 
 val brute_force : problem -> int array * float
 (** Exhaustive enumeration over all injective assignments — exponential;

@@ -20,5 +20,6 @@ let () =
       ("observability", Test_observability.suite);
       ("serve", Test_serve.suite);
       ("reload", Test_reload.suite);
+      ("cli", Test_cli.suite);
       ("properties", Test_props.suite);
     ]

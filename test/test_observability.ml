@@ -13,7 +13,6 @@ module Metrics = Nisq_obs.Metrics
 module Events = Nisq_obs.Events
 module Report = Nisq_obs.Report
 module Pool = Nisq_util.Pool
-module Parallel = Nisq_solver.Parallel
 module Calib_cache = Nisq_device.Calib_cache
 module Config = Nisq_compiler.Config
 module Compile = Nisq_compiler.Compile
@@ -238,34 +237,18 @@ let compile_once ?(report = false) name =
   (Compile.to_qasm r, Metrics.counter_values (), r)
 
 (* Arming report collection must not change the compile: QASM and the
-   deterministic counter slice are byte-identical with and without it,
-   at every solver pool size. *)
+   deterministic counter slice are byte-identical with and without it. *)
 let test_report_byte_identity () =
   obs_off ();
   Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Parallel.disable ();
-      obs_off ())
-  @@ fun () ->
-  List.iter
-    (fun domains ->
-      (match domains with
-      | None -> Parallel.disable ()
-      | Some n -> Parallel.configure ~domains:n ());
-      let qasm_off, counters_off, r_off = compile_once "Adder" in
-      let qasm_on, counters_on, r_on = compile_once ~report:true "Adder" in
-      let label =
-        match domains with
-        | None -> "seq"
-        | Some n -> Printf.sprintf "domains=%d" n
-      in
-      Alcotest.(check bool) (label ^ ": no report when off") true (r_off.Compile.report = None);
-      Alcotest.(check bool) (label ^ ": report when on") true (r_on.Compile.report <> None);
-      Alcotest.(check string) (label ^ ": identical QASM") qasm_off qasm_on;
-      Alcotest.(check (list (pair string int)))
-        (label ^ ": identical counters") counters_off counters_on)
-    [ None; Some 0; Some 1; Some 4 ]
+  Fun.protect ~finally:obs_off @@ fun () ->
+  let qasm_off, counters_off, r_off = compile_once "Adder" in
+  let qasm_on, counters_on, r_on = compile_once ~report:true "Adder" in
+  Alcotest.(check bool) "no report when off" true (r_off.Compile.report = None);
+  Alcotest.(check bool) "report when on" true (r_on.Compile.report <> None);
+  Alcotest.(check string) "identical QASM" qasm_off qasm_on;
+  Alcotest.(check (list (pair string int)))
+    "identical counters" counters_off counters_on
 
 let test_report_esp_and_validate () =
   obs_off ();

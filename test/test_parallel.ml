@@ -1,11 +1,10 @@
-(* Tests for Nisq_solver.Parallel: trajectory-deterministic fan-out,
-   portfolio racing, Greedy-seeded incumbents, budget degradation under
-   the compile fallback ladder, and the pool re-entrancy guard. *)
+(* Budget degradation when capped solves and compiles run concurrently
+   on worker domains: the sequential solver and the compile fallback
+   ladder are spread over a Pool, and every chunk must still degrade
+   feasibly and agree bit for bit with the other pool sizes. *)
 
 module Budget = Nisq_solver.Budget
 module Placement = Nisq_solver.Placement
-module Makespan = Nisq_solver.Makespan
-module Parallel = Nisq_solver.Parallel
 module Pool = Nisq_util.Pool
 module Rng = Nisq_util.Rng
 module Config = Nisq_compiler.Config
@@ -34,8 +33,6 @@ let with_pool size f =
   let pool = Pool.create ~size () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-(* The determinism contract: assignment, objective bits, node count and
-   the optimality verdict agree exactly across pool sizes. *)
 let check_identical what (a : Placement.solution) (b : Placement.solution) =
   Alcotest.(check (array int))
     (what ^ ": assignment") a.Placement.assignment b.Placement.assignment;
@@ -46,245 +43,74 @@ let check_identical what (a : Placement.solution) (b : Placement.solution) =
   Alcotest.(check int)
     (what ^ ": nodes")
     a.Placement.stats.Budget.nodes_visited
-    b.Placement.stats.Budget.nodes_visited;
-  Alcotest.(check bool)
-    (what ^ ": proven")
-    a.Placement.stats.Budget.proven_optimal
-    b.Placement.stats.Budget.proven_optimal
+    b.Placement.stats.Budget.nodes_visited
 
-(* --------------------- Fan-out determinism ------------------------- *)
-
-let test_fanout_pool_size_invariant () =
-  let rng = Rng.create 42 in
-  for case = 1 to 4 do
-    let items = 4 + Rng.int rng 3 in
-    let slots = items + Rng.int rng 4 in
-    let p = random_problem rng ~items ~slots ~pairs:(2 + Rng.int rng 5) in
-    let seq = Placement.solve p in
-    let solve size =
-      with_pool size (fun pool -> Parallel.solve_placement ~pool p)
-    in
-    let r0 = solve 0 and r1 = solve 1 and r4 = solve 4 in
-    let tag n = Printf.sprintf "case %d pools 0/%d" case n in
-    check_identical (tag 1) r0 r1;
-    check_identical (tag 4) r0 r4;
-    Alcotest.(check (float 1e-9))
-      (Printf.sprintf "case %d matches sequential objective" case)
-      seq.Placement.objective r0.Placement.objective;
-    Alcotest.(check bool)
-      (Printf.sprintf "case %d proven" case)
-      true r0.Placement.stats.Budget.proven_optimal
-  done
-
-let test_fanout_assignment_injective () =
-  let rng = Rng.create 7 in
-  let p = random_problem rng ~items:5 ~slots:8 ~pairs:4 in
-  let r = with_pool 4 (fun pool -> Parallel.solve_placement ~pool p) in
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (fun slot ->
-      Alcotest.(check bool) "in range" true (slot >= 0 && slot < 8);
-      Alcotest.(check bool) "distinct" false (Hashtbl.mem seen slot);
-      Hashtbl.add seen slot ())
-    r.Placement.assignment
-
-(* ------------------------- Greedy seeding -------------------------- *)
-
-(* Seeding supplies an incumbent, never a different optimum: the seeded
-   and unseeded searches reach equal objectives, and along the identical
-   exploration order the seeded bound is never weaker, so the seeded
-   sequential search visits no more nodes. *)
-let test_seeded_equals_unseeded_objective () =
-  let rng = Rng.create 11 in
-  for case = 1 to 4 do
-    let items = 4 + Rng.int rng 3 in
-    let slots = items + Rng.int rng 4 in
-    let p = random_problem rng ~items ~slots ~pairs:(2 + Rng.int rng 5) in
-    let seed = Array.init items (fun i -> i) in
-    let unseeded, seeded =
-      with_pool 4 (fun pool ->
-          ( Parallel.solve_placement ~pool p,
-            Parallel.solve_placement ~seed ~pool p ))
-    in
-    Alcotest.(check (float 1e-9))
-      (Printf.sprintf "case %d equal objectives" case)
-      unseeded.Placement.objective seeded.Placement.objective;
-    let plain = Placement.solve p in
-    let incumbent = (seed, Placement.score p seed) in
-    let primed = Placement.solve ~incumbent p in
-    Alcotest.(check bool)
-      (Printf.sprintf "case %d seeding never adds nodes" case)
-      true
-      (primed.Placement.stats.Budget.nodes_visited
-      <= plain.Placement.stats.Budget.nodes_visited)
-  done
-
-let test_seeded_fanout_pool_size_invariant () =
-  let rng = Rng.create 13 in
-  let p = random_problem rng ~items:6 ~slots:9 ~pairs:5 in
-  let seed = Array.init 6 (fun i -> i) in
-  let solve size =
-    with_pool size (fun pool -> Parallel.solve_placement ~seed ~pool p)
-  in
-  check_identical "seeded pools 0/4" (solve 0) (solve 4)
-
-(* ------------------------- Portfolio mode -------------------------- *)
-
-let test_portfolio_agrees_with_sequential () =
-  let rng = Rng.create 23 in
-  for case = 1 to 3 do
-    let items = 4 + Rng.int rng 3 in
-    let slots = items + Rng.int rng 4 in
-    let p = random_problem rng ~items ~slots ~pairs:(2 + Rng.int rng 5) in
-    let seq = Placement.solve p in
-    let solve size =
-      with_pool size (fun pool ->
-          Parallel.solve_placement ~mode:Parallel.Portfolio ~pool p)
-    in
-    let r0 = solve 0 and r4 = solve 4 in
-    check_identical (Printf.sprintf "case %d portfolio pools 0/4" case) r0 r4;
-    Alcotest.(check bool)
-      (Printf.sprintf "case %d portfolio proves" case)
-      true r0.Placement.stats.Budget.proven_optimal;
-    Alcotest.(check (float 1e-9))
-      (Printf.sprintf "case %d portfolio objective" case)
-      seq.Placement.objective r0.Placement.objective
-  done
-
-(* --------------------- Makespan (T-SMT⋆ side) ---------------------- *)
-
-(* Same toy cost model as the Makespan unit tests: Σ |slot − target|,
-   admissible on partial placements. The thunk builds a fresh problem
-   per call, as the stateful T-SMT⋆ lower bound requires. *)
-let toy_problem targets slots =
-  let items = Array.length targets in
-  let cost placement =
-    let acc = ref 0 in
-    Array.iteri
-      (fun i s -> if s >= 0 then acc := !acc + abs (s - targets.(i)))
-      placement;
-    !acc
-  in
-  {
-    Makespan.num_items = items;
-    num_slots = slots;
-    order = None;
-    lower_bound = cost;
-    leaf_cost = cost;
-  }
-
-let test_makespan_fanout_matches_sequential () =
-  let targets = [| 3; 1; 0; 2; 4 |] in
-  let make () = toy_problem targets 7 in
-  let seq = Makespan.solve (make ()) in
-  let solve size =
-    with_pool size (fun pool -> Parallel.solve_makespan ~pool make)
-  in
-  let r0 = solve 0 and r4 = solve 4 in
-  Alcotest.(check int) "cost matches sequential" seq.Makespan.cost
-    r0.Makespan.cost;
-  Alcotest.(check (array int)) "assignment pools 0/4" r0.Makespan.assignment
-    r4.Makespan.assignment;
-  Alcotest.(check int) "cost pools 0/4" r0.Makespan.cost r4.Makespan.cost;
-  Alcotest.(check int) "nodes pools 0/4"
-    r0.Makespan.stats.Budget.nodes_visited
-    r4.Makespan.stats.Budget.nodes_visited;
-  let seeded =
-    with_pool 4 (fun pool -> Parallel.solve_makespan ~seed:targets ~pool make)
-  in
-  Alcotest.(check int) "seeded cost optimal" seq.Makespan.cost
-    seeded.Makespan.cost
-
-(* -------------------- Budget degradation --------------------------- *)
+let chunks = 4
 
 let test_capped_parallel_degrades_feasibly () =
   let rng = Rng.create 31 in
   let p = random_problem rng ~items:6 ~slots:9 ~pairs:6 in
   let solve size =
     with_pool size (fun pool ->
-        Parallel.solve_placement ~budget:(Budget.nodes 1) ~pool p)
+        Pool.parallel_chunks pool ~chunks (fun _ ->
+            Placement.solve ~budget:(Budget.nodes 1) p))
   in
+  let seq = Placement.solve ~budget:(Budget.nodes 1) p in
   let r0 = solve 0 and r4 = solve 4 in
-  Alcotest.(check bool) "degraded" true r0.Placement.stats.Budget.degraded;
-  Alcotest.(check bool) "not proven" false
-    r0.Placement.stats.Budget.proven_optimal;
-  check_identical "capped pools 0/4" r0 r4;
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (fun slot ->
-      Alcotest.(check bool) "feasible slot" true (slot >= 0 && slot < 9);
-      Alcotest.(check bool) "feasible distinct" false (Hashtbl.mem seen slot);
-      Hashtbl.add seen slot ())
-    r0.Placement.assignment
+  List.iteri
+    (fun i (a, b) ->
+      let tag = Printf.sprintf "chunk %d" i in
+      Alcotest.(check bool) (tag ^ ": degraded") true
+        a.Placement.stats.Budget.degraded;
+      Alcotest.(check bool) (tag ^ ": not proven") false
+        a.Placement.stats.Budget.proven_optimal;
+      check_identical (tag ^ " pools 0/4") a b;
+      check_identical (tag ^ " vs sequential") seq a;
+      let seen = Hashtbl.create 8 in
+      Array.iter
+        (fun slot ->
+          Alcotest.(check bool) "feasible slot" true (slot >= 0 && slot < 9);
+          Alcotest.(check bool) "feasible distinct" false
+            (Hashtbl.mem seen slot);
+          Hashtbl.add seen slot ())
+        a.Placement.assignment)
+    (List.combine r0 r4)
 
-(* A blown full budget must walk the same fallback ladder with the
-   parallel path enabled: the node-capped retry succeeds at BV4 scale
-   and the compile still produces a valid executable. *)
+(* A blown full budget walks the fallback ladder on every worker: the
+   node-capped retry succeeds at BV4 scale, and each concurrent compile
+   produces the same valid executable as a compile in the caller. *)
 let test_compile_fallback_ladder_under_parallel () =
   let calib = Ibmq16.calibration ~day:0 () in
   let bv4 = (Benchmarks.by_name "BV4").Benchmarks.circuit in
   let config = Config.make ~budget:(Budget.nodes 1) (Config.R_smt_star 0.5) in
-  Parallel.configure ~domains:2 ();
-  let r =
-    Fun.protect
-      ~finally:(fun () -> Parallel.disable ())
-      (fun () -> Compile.run ~config ~calib bv4)
+  let seq = Compile.run ~config ~calib bv4 in
+  let results =
+    with_pool 2 (fun pool ->
+        Pool.parallel_chunks pool ~chunks (fun _ ->
+            Compile.run ~config ~calib bv4))
   in
-  (match r.Compile.rung with
-  | Some Compile.Rung_capped -> ()
-  | Some other ->
-      Alcotest.failf "expected node-capped rung, got %s"
-        (Compile.rung_name other)
-  | None -> Alcotest.fail "SMT compile reported no rung");
-  Alcotest.(check bool) "positive esp" true (r.Compile.esp > 0.0);
-  Alcotest.(check bool) "parallel disabled again" false (Parallel.enabled ())
-
-(* ---------------------- Pool re-entrancy guard --------------------- *)
-
-let test_pool_reentrancy_guard () =
-  List.iter
-    (fun size ->
-      with_pool size (fun pool ->
-          let trapped =
-            Pool.parallel_chunks pool ~chunks:2 (fun _ ->
-                try
-                  ignore (Pool.parallel_chunks pool ~chunks:1 (fun i -> i));
-                  false
-                with Invalid_argument _ -> true)
-          in
-          List.iter
-            (Alcotest.(check bool)
-               (Printf.sprintf "size %d: nested call trapped" size)
-               true)
-            trapped))
-    [ 0; 2 ]
-
-let test_pool_cross_pool_nesting_ok () =
-  with_pool 2 (fun outer ->
-      with_pool 0 (fun inner ->
-          let sums =
-            Pool.parallel_chunks outer ~chunks:2 (fun i ->
-                Pool.parallel_chunks inner ~chunks:3 (fun j -> (10 * i) + j)
-                |> List.fold_left ( + ) 0)
-          in
-          Alcotest.(check (list int)) "different-pool nesting" [ 3; 33 ] sums))
+  List.iteri
+    (fun i (r : Compile.t) ->
+      (match r.Compile.rung with
+      | Some Compile.Rung_capped -> ()
+      | Some other ->
+          Alcotest.failf "chunk %d: expected node-capped rung, got %s" i
+            (Compile.rung_name other)
+      | None -> Alcotest.failf "chunk %d: SMT compile reported no rung" i);
+      Alcotest.(check bool) "positive esp" true (r.Compile.esp > 0.0);
+      Alcotest.(check int64)
+        (Printf.sprintf "chunk %d: esp matches caller" i)
+        (Int64.bits_of_float seq.Compile.esp)
+        (Int64.bits_of_float r.Compile.esp);
+      Alcotest.(check string)
+        (Printf.sprintf "chunk %d: qasm matches caller" i)
+        (Compile.to_qasm seq) (Compile.to_qasm r))
+    results
 
 let suite =
   [
-    ("fanout pool-size invariant", `Quick, test_fanout_pool_size_invariant);
-    ("fanout assignment injective", `Quick, test_fanout_assignment_injective);
-    ("seeded equals unseeded", `Quick, test_seeded_equals_unseeded_objective);
-    ( "seeded fanout pool-size invariant",
-      `Quick,
-      test_seeded_fanout_pool_size_invariant );
-    ("portfolio agrees with sequential", `Quick,
-      test_portfolio_agrees_with_sequential);
-    ("makespan fanout matches sequential", `Quick,
-      test_makespan_fanout_matches_sequential);
     ("capped parallel degrades feasibly", `Quick,
       test_capped_parallel_degrades_feasibly);
     ("compile ladder under parallel", `Quick,
       test_compile_fallback_ladder_under_parallel);
-    ("pool re-entrancy guard", `Quick, test_pool_reentrancy_guard);
-    ("cross-pool nesting ok", `Quick, test_pool_cross_pool_nesting_ok);
   ]

@@ -271,7 +271,8 @@ let test_capped_rung_when_budget_tiny () =
   in
   let r = Compile.run ~config ~calib bv4 in
   Alcotest.(check bool) "capped rung" true
-    (r.Compile.rung = Some Compile.Rung_capped)
+    (r.Compile.rung = Some Compile.Rung_capped);
+  Alcotest.(check bool) "positive esp" true (r.Compile.esp > 0.0)
 
 (* ----------------------------- the pool ---------------------------- *)
 

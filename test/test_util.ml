@@ -1,4 +1,4 @@
-(* Tests for Nisq_util: Rng, Stats, Table. *)
+(* Tests for Nisq_util: Rng, Pool, Stats, Table. *)
 
 module Rng = Nisq_util.Rng
 module Stats = Nisq_util.Stats
@@ -158,6 +158,40 @@ let test_pool_reusable_across_calls () =
   Alcotest.(check (list int)) "after shutdown" [ 0; 1; 2 ]
     (Pool.parallel_chunks pool ~chunks:3 Fun.id)
 
+let with_pool size f =
+  let pool = Pool.create ~size () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+(* A chunk function that calls back into its own pool is trapped with
+   Invalid_argument instead of deadlocking, on both pool paths. *)
+let test_pool_reentrancy_guard () =
+  List.iter
+    (fun size ->
+      with_pool size (fun pool ->
+          let trapped =
+            Pool.parallel_chunks pool ~chunks:2 (fun _ ->
+                try
+                  ignore (Pool.parallel_chunks pool ~chunks:1 (fun i -> i));
+                  false
+                with Invalid_argument _ -> true)
+          in
+          List.iter
+            (Alcotest.(check bool)
+               (Printf.sprintf "size %d: nested call trapped" size)
+               true)
+            trapped))
+    [ 0; 2 ]
+
+let test_pool_cross_pool_nesting_ok () =
+  with_pool 2 (fun outer ->
+      with_pool 0 (fun inner ->
+          let sums =
+            Pool.parallel_chunks outer ~chunks:2 (fun i ->
+                Pool.parallel_chunks inner ~chunks:3 (fun j -> (10 * i) + j)
+                |> List.fold_left ( + ) 0)
+          in
+          Alcotest.(check (list int)) "different-pool nesting" [ 3; 33 ] sums))
+
 let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |])
 
 let test_stats_mean_empty () =
@@ -238,6 +272,8 @@ let suite =
     ("pool rejects non-positive chunks", `Quick, test_pool_rejects_nonpositive_chunks);
     ("pool propagates exceptions", `Quick, test_pool_propagates_exceptions);
     ("pool reusable across calls", `Quick, test_pool_reusable_across_calls);
+    ("pool re-entrancy guard", `Quick, test_pool_reentrancy_guard);
+    ("cross-pool nesting ok", `Quick, test_pool_cross_pool_nesting_ok);
     ("stats mean", `Quick, test_stats_mean);
     ("stats mean empty", `Quick, test_stats_mean_empty);
     ("stats geomean", `Quick, test_stats_geomean);
