@@ -2,7 +2,9 @@
 # of the figure harness (compile + parallel Monte-Carlo on one figure),
 # a telemetry smoke (a traced run whose Chrome trace must parse and
 # carry the expected span shape), an observability smoke (event ledger,
-# explain report and Prometheus scrape, each linted), a kill-and-resume
+# explain report and Prometheus scrape, each linted), a both-recorders
+# smoke (one faulted run armed with trace and event ledger, both
+# linted), a kill-and-resume
 # smoke (a journalled run killed mid-sweep must resume to byte-identical
 # output), a bench smoke (the compile fast-path micro-benchmarks,
 # schema-checked against the committed BENCH_compile.json baseline), a
@@ -39,6 +41,12 @@ check:
 	  --events /tmp/nisq-smoke-events.jsonl \
 	  --inject "calib:nan@q3;solver:blow;pool:crash@chunk0" > /dev/null
 	dune exec tools/jsonlint.exe -- --jsonl /tmp/nisq-smoke-events.jsonl
+	dune exec bin/nisqc.exe -- run BV4 -m rsmt -t 512 \
+	  --trace /tmp/nisq-smoke-both-trace.json \
+	  --events /tmp/nisq-smoke-both-events.jsonl \
+	  --inject "pool:crash@chunk0" > /dev/null
+	dune exec tools/jsonlint.exe -- --trace /tmp/nisq-smoke-both-trace.json
+	dune exec tools/jsonlint.exe -- --jsonl /tmp/nisq-smoke-both-events.jsonl
 	dune exec bin/nisqc.exe -- compile Adder -m rsmt \
 	  --report /tmp/nisq-smoke-report.json \
 	  --prom /tmp/nisq-smoke-prom.txt > /dev/null

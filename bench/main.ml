@@ -666,7 +666,6 @@ let dispatch opts run =
 
 let () =
   let opts = parse_args () in
-  Nisq_obs.Telemetry.set_sink Atomic_io.write_file;
   Nisq_obs.Telemetry.init_from_env ();
   Nisq_faultkit.Faultkit.init_from_env ();
   Deadline.init_from_env ();
@@ -674,8 +673,10 @@ let () =
   Signals.install ();
   (* Every figure's Monte-Carlo trials run on the shared domain pool;
      results are bit-identical for any worker count (NISQ_DOMAINS). *)
-  Printf.eprintf "[nisq-bench] domain pool: %d workers (NISQ_DOMAINS=%s)\n%!"
-    (Pool.size (Pool.default ()))
+  let pool = Pool.default () in
+  Printf.eprintf "[nisq-bench] domain pool: %s (NISQ_DOMAINS=%s)\n%!"
+    (if Pool.sequential pool then "sequential"
+     else Printf.sprintf "%d workers" (Pool.size pool))
     (Option.value ~default:"unset" (Sys.getenv_opt "NISQ_DOMAINS"));
   (* The run identity ties a journal to what was asked of the binary;
      resuming under different arguments would splice answers to a

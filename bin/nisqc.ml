@@ -28,7 +28,6 @@ module Obs_clock = Nisq_obs.Clock
 module Obs_json = Nisq_obs.Json
 module Obs_metrics = Nisq_obs.Metrics
 module Report = Nisq_obs.Report
-module Atomic_io = Nisq_runkit.Atomic_io
 module Deadline = Nisq_runkit.Deadline
 module Ledger = Nisq_runkit.Run
 module Signals = Nisq_runkit.Signals
@@ -316,9 +315,6 @@ let ledger_of ~identity ~run_id ~resume ~force =
   | None, None -> None
 
 let setup_telemetry ?inject ?events ?prom ?report trace metrics =
-  (* The obs layer cannot link runkit; upgrade its file writer to the
-     crash-safe one here, once, before anything can flush. *)
-  Telemetry.set_sink Atomic_io.write_file;
   Telemetry.init_from_env ();
   Telemetry.configure ?trace
     ?metrics:(if metrics then Some true else None)
@@ -516,7 +512,7 @@ let compile_cmd =
     end;
     (match (report, r.Compile.report) with
     | Some path, Some rep ->
-        Atomic_io.write_json ~path (Report.to_json rep);
+        Obs_json.to_file ~path (Report.to_json rep);
         Printf.eprintf "explain report written to %s\n%!" path
     | _ -> ());
     Telemetry.finish ()

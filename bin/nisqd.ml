@@ -15,7 +15,6 @@ module Server = Nisq_serve.Server
 module Client = Nisq_serve.Client
 module Protocol = Nisq_serve.Protocol
 module Deadline = Nisq_runkit.Deadline
-module Atomic_io = Nisq_runkit.Atomic_io
 module Telemetry = Nisq_obs.Telemetry
 module Obs_json = Nisq_obs.Json
 module Obs_metrics = Nisq_obs.Metrics
@@ -34,7 +33,6 @@ let socket_arg =
 let serve_cmd =
   let run socket workers queue deadline_ms grace inject events prom metrics
       calib calib_prev calib_watch reload_report max_drift =
-    Telemetry.set_sink Atomic_io.write_file;
     Telemetry.init_from_env ();
     Telemetry.configure
       ?metrics:(if metrics then Some true else None)
@@ -271,7 +269,7 @@ let call_cmd =
               | Error msg -> Error (Client.Unavailable msg)))
     in
     Option.iter
-      (fun path -> Atomic_io.write_file ~path (Buffer.contents capture))
+      (fun path -> Obs_json.write_atomic ~path (Buffer.contents capture))
       record;
     match result with
     | Ok v ->

@@ -1,6 +1,4 @@
-type severity = Debug | Info | Warn | Error
-
-let severity_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
+type severity = Recorder.severity = Debug | Info | Warn | Error
 
 let severity_name = function
   | Debug -> "debug"
@@ -8,7 +6,7 @@ let severity_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-type event = {
+type event = Recorder.event = {
   seq : int;
   ts_ns : int64;
   tid : int;
@@ -22,109 +20,12 @@ let on = ref false
 
 let set_enabled b = on := b
 
-let enabled () = !on
-
-(* Capacity changes take effect lazily: bumping [generation] marks
-   every existing ring stale, and the owning domain reallocates its
-   ring (empty) on its next emit. This keeps the emit path free of
-   cross-domain coordination. *)
-let ring_capacity = ref 512
-
-let generation = ref 0
-
 let configure ?capacity () =
   match capacity with
   | None -> ()
   | Some c ->
       if c < 1 then invalid_arg "Events.configure: capacity must be >= 1";
-      ring_capacity := c;
-      incr generation
-
-let capacity () = !ring_capacity
-
-(* One ring per domain; pushes touch only the owner's ring, the global
-   list (under [rings_mutex]) exists solely so readers can find them —
-   the same shape as [Trace]'s span buffers. *)
-type ring = {
-  tid : int;
-  mutable slots : event array;
-  mutable start : int; (* index of the oldest live event *)
-  mutable len : int;
-  mutable seq : int; (* events ever pushed on this ring *)
-  mutable dropped : int;
-  mutable gen : int; (* [generation] at (re)allocation time *)
-}
-
-let rings_mutex = Mutex.create ()
-
-let rings : ring list ref = ref []
-
-let dummy =
-  {
-    seq = 0;
-    ts_ns = 0L;
-    tid = 0;
-    domain = "";
-    severity = Debug;
-    message = "";
-    fields = [];
-  }
-
-let fresh_ring () =
-  let r =
-    {
-      tid = (Domain.self () :> int);
-      slots = Array.make !ring_capacity dummy;
-      start = 0;
-      len = 0;
-      seq = 0;
-      dropped = 0;
-      gen = !generation;
-    }
-  in
-  Mutex.lock rings_mutex;
-  rings := r :: !rings;
-  Mutex.unlock rings_mutex;
-  r
-
-let key = Domain.DLS.new_key fresh_ring
-
-let refresh r =
-  if r.gen <> !generation then begin
-    r.slots <- Array.make !ring_capacity dummy;
-    r.start <- 0;
-    r.len <- 0;
-    r.dropped <- 0;
-    r.gen <- !generation
-  end
-
-let push r ev =
-  let cap = Array.length r.slots in
-  if r.len = cap then begin
-    (* drop the oldest *)
-    r.slots.(r.start) <- ev;
-    r.start <- (r.start + 1) mod cap;
-    r.dropped <- r.dropped + 1
-  end
-  else begin
-    r.slots.((r.start + r.len) mod cap) <- ev;
-    r.len <- r.len + 1
-  end;
-  r.seq <- r.seq + 1
-
-let record ~fields ~domain severity message =
-  let r = Domain.DLS.get key in
-  refresh r;
-  push r
-    {
-      seq = r.seq;
-      ts_ns = Clock.now_ns ();
-      tid = r.tid;
-      domain;
-      severity;
-      message;
-      fields;
-    }
+      Recorder.set_event_capacity c
 
 let echo message =
   output_string stderr message;
@@ -133,40 +34,17 @@ let echo message =
 
 let emit ?(fields = []) ~domain severity message =
   (* Record first so the echo cost never delays the timestamp. *)
-  if !on then record ~fields ~domain severity message;
-  if severity_rank severity >= 2 then echo message
-
-let snapshot () =
-  Mutex.lock rings_mutex;
-  let all = !rings in
-  Mutex.unlock rings_mutex;
-  all
+  if !on then Recorder.event ~fields ~domain severity message;
+  match severity with Warn | Error -> echo message | Debug | Info -> ()
 
 let events () =
-  let live r =
-    if r.gen <> !generation then []
-    else
-      List.init r.len (fun i ->
-          r.slots.((r.start + i) mod Array.length r.slots))
-  in
-  snapshot ()
-  |> List.concat_map live
-  |> List.sort (fun a b ->
-         match Int64.compare a.ts_ns b.ts_ns with
-         | 0 -> (
-             match compare a.tid b.tid with
-             | 0 -> compare a.seq b.seq
-             | c -> c)
-         | c -> c)
+  List.filter_map
+    (function Recorder.Event e -> Some e | Span _ -> None)
+    (Recorder.records Events)
 
-let fold_live f acc =
-  List.fold_left
-    (fun acc r -> if r.gen <> !generation then acc else f acc r)
-    acc (snapshot ())
+let total () = Recorder.total Events
 
-let total () = fold_live (fun acc r -> acc + r.seq) 0
-
-let dropped () = fold_live (fun acc r -> acc + r.dropped) 0
+let dropped () = Recorder.dropped Events
 
 let event_json ev =
   Json.Obj
@@ -199,13 +77,4 @@ let export_json () =
       ("events", Json.List (List.map event_json (events ())));
     ]
 
-let reset () =
-  Mutex.lock rings_mutex;
-  List.iter
-    (fun r ->
-      r.start <- 0;
-      r.len <- 0;
-      r.seq <- 0;
-      r.dropped <- 0)
-    !rings;
-  Mutex.unlock rings_mutex
+let reset () = Recorder.reset Events

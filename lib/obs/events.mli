@@ -1,40 +1,28 @@
-(** Structured event ledger: bounded per-domain ring buffers.
+(** Structured event ledger, bounded per domain.
 
     Libraries report notable conditions (a malformed environment
     variable, a cache bypassed under fault injection, a quarantined
-    qubit) as structured events instead of bare [Printf.eprintf]
-    calls. Each OCaml domain owns a fixed-capacity ring; a full ring
-    drops its {e oldest} event and bumps a drop counter, so a noisy
-    run degrades to "most recent N events per domain" instead of
-    unbounded memory. At flush time the rings are merged and sorted
-    into one timeline (see {!events} / {!export_jsonl}).
+    qubit) as structured events instead of bare [Printf.eprintf] calls.
+    Events go to the calling domain's ring in {!Recorder}, shared with
+    {!Trace} but in a lane of their own, so a flood of spans never
+    evicts an event. The lane keeps the newest 512 events (see
+    {!configure}); older ones are dropped and counted, and the rings of
+    exited domains are recycled, so a daemon that spawns a domain per
+    connection keeps a bounded ledger.
 
-    {2 Cost model}
+    Disabled (the default), an {!emit} below {!Warn} is one ref read,
+    one branch and a severity comparison — no allocation; the
+    [obs:event-disabled] micro-benchmark pins it. [Warn]/[Error] events
+    also echo their message to stderr {e even while disabled}, so
+    user-facing warning text does not depend on telemetry being armed. *)
 
-    The ledger is disabled by default. A disabled {!emit} below
-    {!Warn} severity is one mutable-ref read, one branch and a
-    severity comparison — no allocation, no atomic traffic; the
-    [obs:event-disabled] micro-benchmark pins it within noise of a
-    no-op call. [Warn]/[Error] events additionally echo their message
-    to stderr {e even while disabled}, so user-facing warning text
-    does not depend on telemetry being armed.
-
-    {2 Merge protocol}
-
-    Rings need no synchronization on the emit path: each domain
-    mutates only its own ring (found via [Domain.DLS]). A global list
-    of rings, guarded by a mutex, exists solely so readers can find
-    them; {!events} snapshots every ring and sorts by
-    [(ts_ns, tid, seq)] — [seq] is a per-ring monotonic counter, so
-    same-timestamp events from one domain keep emission order. *)
-
-type severity = Debug | Info | Warn | Error
+type severity = Recorder.severity = Debug | Info | Warn | Error
 
 val severity_name : severity -> string
 (** ["debug"] / ["info"] / ["warn"] / ["error"]. *)
 
-type event = {
-  seq : int;  (** per-ring emission index, monotonic within [tid] *)
+type event = Recorder.event = {
+  seq : int;  (** emission index, monotonic within [tid] *)
   ts_ns : int64;  (** monotonic clock, same base as {!Trace} spans *)
   tid : int;  (** OCaml domain id that emitted the event *)
   domain : string;  (** component name: ["pool"], ["cache"], ... *)
@@ -47,14 +35,10 @@ val set_enabled : bool -> unit
 (** Turn recording on or off (default off). Echoing of [Warn]+
     messages to stderr is unconditional and unaffected. *)
 
-val enabled : unit -> bool
-
 val configure : ?capacity:int -> unit -> unit
-(** Set the per-domain ring capacity (default 512). Takes effect
-    lazily: every ring is reallocated (empty) at its owner's next
-    {!emit}. Raises [Invalid_argument] on [capacity < 1]. *)
-
-val capacity : unit -> int
+(** Set the per-domain event capacity (default 512) and empty every
+    event lane; each reallocates at its owner's next {!emit}. Raises
+    [Invalid_argument] on [capacity < 1]. *)
 
 val emit :
   ?fields:(string * string) list ->
@@ -68,7 +52,7 @@ val emit :
 
 val events : unit -> event list
 (** Merged snapshot of every ring, sorted by [(ts_ns, tid, seq)].
-    Dropped events are gone — only the newest [capacity] per domain
+    Dropped events are gone — only the newest [capacity] per ring
     survive. *)
 
 val total : unit -> int
@@ -87,4 +71,5 @@ val export_json : unit -> Json.t
     [{"schema":"nisq-events/1","dropped":…,"events":[…]}]. *)
 
 val reset : unit -> unit
-(** Empty every ring and zero the counters (capacity survives). *)
+(** Empty every event lane and zero the counters (capacity survives;
+    spans are kept). *)

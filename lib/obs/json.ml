@@ -64,27 +64,30 @@ let to_string v =
   to_buffer buf v;
   Buffer.contents buf
 
-(* Write-temp-then-rename so readers (and crash recovery) only ever see
-   a complete document: a telemetry dump interrupted mid-write must not
-   leave a torn file where the previous good one stood. This duplicates
-   the tiny core of [Nisq_runkit.Atomic_io] because obs sits below
-   runkit in the dependency order. *)
+(* The rename is durable only once the parent directory is synced. That
+   fsync is best-effort (some filesystems refuse it on a directory fd):
+   the content is already safe by then. *)
+let fsync_dir dir =
+  try
+    let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+  with Unix.Unix_error _ -> ()
+
 let write_atomic ~path content =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out tmp in
+  let oc = open_out_bin tmp in
   (match
      output_string oc content;
      flush oc;
-     (try Unix.fsync (Unix.descr_of_out_channel oc)
-      with Unix.Unix_error _ -> ());
-     close_out oc
+     Unix.fsync (Unix.descr_of_out_channel oc)
    with
-  | () -> ()
+  | () -> close_out oc
   | exception e ->
       close_out_noerr oc;
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e);
-  Sys.rename tmp path
+  Sys.rename tmp path;
+  fsync_dir (Filename.dirname path)
 
 let to_file ~path v = write_atomic ~path (to_string v ^ "\n")
 

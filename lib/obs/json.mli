@@ -24,15 +24,18 @@ val to_buffer : Buffer.t -> t -> unit
 (** {!to_string} into an existing buffer. *)
 
 val write_atomic : path:string -> string -> unit
-(** Write raw [content] to [path] atomically (temp file, fsync,
-    rename) — the same discipline as {!to_file}, for non-JSON or
-    pre-rendered payloads (JSONL ledgers, Prometheus text). *)
+(** The one crash-safe file writer: atomically replace [path] with
+    [content]. It writes [path.tmp.<pid>], flushes, fsyncs, renames
+    over [path], then fsyncs the containing directory (best-effort) so
+    the rename survives a power loss. On error the temporary file is
+    removed, [path] is untouched and the exception (a failed file
+    fsync included) propagates. Every telemetry, report and table file
+    goes through it. *)
 
 val to_file : path:string -> t -> unit
-(** Write {!to_string} plus a trailing newline to [path], atomically:
-    the document is written to a temp file, fsync'd, then renamed into
-    place, so [path] never holds a torn JSON value — even if the writer
-    is killed mid-dump. *)
+(** {!write_atomic} of {!to_string} plus a trailing newline: [path]
+    never holds a torn JSON value, even if the writer is killed
+    mid-dump. *)
 
 val of_string : string -> (t, string) result
 (** Strict RFC 8259 parser: one value, nothing after it. Numbers

@@ -6,15 +6,6 @@ let prom_dest : string option ref = ref None
 
 let want_metrics = ref false
 
-(* Export sink: how [finish] puts bytes on disk. The default is the
-   local atomic write; binaries that link runkit upgrade it to
-   [Nisq_runkit.Atomic_io.write_file] at startup so ledger and scrape
-   files share the journaled-run write discipline. *)
-let sink : (path:string -> string -> unit) ref =
-  ref (fun ~path content -> Json.write_atomic ~path content)
-
-let set_sink f = sink := f
-
 let configure ?trace ?metrics ?events ?prom () =
   (match trace with
   | Some path ->
@@ -63,31 +54,28 @@ let init_from_env () =
   | Some path -> configure ~prom:path ()
   | None -> ()
 
-let trace_path () = !trace_dest
-
 let events_path () = !events_dest
 
 let prom_path () = !prom_dest
-
-let metrics_requested () = !want_metrics
 
 let finish ?(out = stderr) () =
   (match !trace_dest with
   | Some path ->
       Json.to_file ~path (Trace.export_json ());
-      Printf.fprintf out "trace written to %s\n" path;
+      Printf.fprintf out "trace written to %s (%d recorded, %d dropped)\n"
+        path (Trace.total ()) (Trace.dropped ());
       output_string out (Trace.render_tree ())
   | None -> ());
   (match !events_dest with
   | Some path ->
-      !sink ~path (Events.export_jsonl ());
+      Json.write_atomic ~path (Events.export_jsonl ());
       Printf.fprintf out "events written to %s (%d recorded, %d dropped)\n"
         path (Events.total ()) (Events.dropped ())
   | None -> ());
   if !want_metrics then output_string out (Metrics.render ());
   (match !prom_dest with
   | Some path ->
-      !sink ~path (Metrics.to_prometheus ());
+      Json.write_atomic ~path (Metrics.to_prometheus ());
       Printf.fprintf out "prometheus metrics written to %s\n" path
   | None -> ());
   flush out

@@ -7,7 +7,13 @@
     [NISQ_METRICS] / [NISQ_EVENTS] / [NISQ_PROM]) arm the collectors
     before the work runs, and {!finish} flushes everything afterwards —
     Chrome trace JSON, the event ledger as JSONL, the metrics table,
-    and a Prometheus text scrape to their respective files. *)
+    and a Prometheus text scrape to their respective files.
+
+    Spans and events are held in one bounded per-domain recorder
+    ({!Recorder}), so {!finish} reports for each kind how many records
+    were made and how many the full rings dropped. Every file goes
+    through the one crash-safe writer, {!Json.write_atomic} (temp file,
+    fsync, rename, directory fsync). *)
 
 val configure :
   ?trace:string ->
@@ -30,29 +36,17 @@ val init_from_env : unit -> unit
     [NISQ_METRICS] (truthy: "1"/"true"/"yes"/"on", case-insensitive)
     and {!configure} accordingly. Call before CLI flags so flags win. *)
 
-val trace_path : unit -> string option
-(** Where {!finish} will write the trace, if tracing is armed. *)
-
 val events_path : unit -> string option
 (** Where {!finish} will write the event ledger, if armed. *)
 
 val prom_path : unit -> string option
 (** Where {!finish} will write the Prometheus scrape, if armed. *)
 
-val metrics_requested : unit -> bool
-
-val set_sink : (path:string -> string -> unit) -> unit
-(** Replace the writer {!finish} uses for ledger and Prometheus files.
-    The default duplicates the tiny atomic-write core (temp + fsync +
-    rename); [bin/nisqc] and the bench harness install
-    [Nisq_runkit.Atomic_io.write_file] at startup — obs sits below
-    runkit in the dependency order, so the upgrade is injected rather
-    than linked. *)
-
 val finish : ?out:out_channel -> unit -> unit
-(** Flush: write the Chrome trace to the configured path (if any) and
-    print the span tree; drain the event ledger to its JSONL file (if
-    armed) and note recorded/dropped counts; print the metrics table
-    (if requested); write the Prometheus scrape (if armed) — all
-    status lines to [out] (default [stderr]). Collectors stay enabled;
+(** Flush: write the Chrome trace to the configured path (if any), note
+    recorded/dropped span counts and print the span tree; drain the
+    event ledger to its JSONL file (if armed) and note recorded/dropped
+    event counts; print the metrics table (if requested); write the
+    Prometheus scrape (if armed) — all status lines to [out] (default
+    [stderr]). Collectors stay enabled;
     call [reset] on the individual collectors to reuse the process. *)

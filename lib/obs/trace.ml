@@ -1,9 +1,10 @@
-type span = {
+type span = Recorder.span = {
   name : string;
   ts_ns : int64;
   dur_ns : int64;
   tid : int;
   depth : int;
+  seq : int;
   attrs : (string * string) list;
 }
 
@@ -11,100 +12,19 @@ let on = ref false
 
 let set_enabled b = on := b
 
-let enabled () = !on
-
-(* One buffer per domain. Pushes touch only the owning domain's buffer,
-   so they need no synchronization; the global [bufs] list (guarded by
-   [bufs_mutex]) exists solely so readers can find every buffer. *)
-type buf = {
-  tid : int;
-  mutable events : span array;
-  mutable len : int;
-  mutable depth : int;
-}
-
-let bufs_mutex = Mutex.create ()
-
-let bufs : buf list ref = ref []
-
-let dummy_span =
-  { name = ""; ts_ns = 0L; dur_ns = 0L; tid = 0; depth = 0; attrs = [] }
-
-let fresh_buf () =
-  let b =
-    {
-      tid = (Domain.self () :> int);
-      events = Array.make 64 dummy_span;
-      len = 0;
-      depth = 0;
-    }
-  in
-  Mutex.lock bufs_mutex;
-  bufs := b :: !bufs;
-  Mutex.unlock bufs_mutex;
-  b
-
-let key = Domain.DLS.new_key fresh_buf
-
-let push b span =
-  let cap = Array.length b.events in
-  if b.len = cap then begin
-    let bigger = Array.make (2 * cap) dummy_span in
-    Array.blit b.events 0 bigger 0 cap;
-    b.events <- bigger
-  end;
-  b.events.(b.len) <- span;
-  b.len <- b.len + 1
-
 let with_span ?attrs name f =
-  if not !on then f ()
-  else begin
-    let b = Domain.DLS.get key in
-    b.depth <- b.depth + 1;
-    let depth = b.depth in
-    let t0 = Clock.now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dur_ns = Int64.sub (Clock.now_ns ()) t0 in
-        b.depth <- depth - 1;
-        push b
-          {
-            name;
-            ts_ns = t0;
-            dur_ns;
-            tid = b.tid;
-            depth;
-            attrs = Option.value attrs ~default:[];
-          })
-      f
-  end
+  if not !on then f () else Recorder.span ?attrs name f
 
-let reset () =
-  Mutex.lock bufs_mutex;
-  List.iter
-    (fun b ->
-      b.len <- 0;
-      b.depth <- 0)
-    !bufs;
-  Mutex.unlock bufs_mutex
+let reset () = Recorder.reset Spans
+
+let total () = Recorder.total Spans
+
+let dropped () = Recorder.dropped Spans
 
 let spans () =
-  Mutex.lock bufs_mutex;
-  let all =
-    List.concat_map
-      (fun b -> Array.to_list (Array.sub b.events 0 b.len))
-      !bufs
-  in
-  Mutex.unlock bufs_mutex;
-  List.sort
-    (fun a b ->
-      match Int64.compare a.ts_ns b.ts_ns with
-      | 0 -> (
-          match compare a.tid b.tid with
-          | 0 -> compare a.depth b.depth
-          | c -> c)
-      | c -> c)
-    all
+  List.filter_map
+    (function Recorder.Span s -> Some s | Event _ -> None)
+    (Recorder.records Spans)
 
 (* ------------------------- chrome trace_event ---------------------- *)
 

@@ -2,41 +2,28 @@
 
     [with_span "route" f] runs [f ()] and records a completed span —
     name, start timestamp, duration, domain id, nesting depth, optional
-    string attributes. Spans nest naturally: the tracer keeps a
-    per-domain depth counter, and an exception escaping [f] still closes
-    the span ({!with_span} is exception-transparent).
+    string attributes. Spans nest through a per-domain depth counter,
+    and an exception escaping [f] still closes the span.
 
-    {2 Per-domain buffers}
-
-    Each domain appends finished spans to its own growable buffer,
-    obtained through [Domain.DLS] — the hot path takes no lock and
-    contends on nothing. Buffers register themselves in a global list
-    (one mutex acquisition per domain lifetime); {!spans},
-    {!export_json} and friends merge the registered buffers at read
-    time. Reading while worker domains are still recording is safe but
-    may miss in-flight spans; flush points in this codebase all sit
-    after the pool has drained.
-
-    {2 Cost model}
+    Spans go to the calling domain's ring in {!Recorder}, shared with
+    {!Events}: no lock on the hot path, at most
+    {!Recorder.span_capacity} spans per domain (the oldest are dropped
+    and counted), and the rings of exited domains are recycled — a
+    long-lived [nisqd] with tracing on holds a bounded trace.
 
     Disabled (the default), [with_span name f] is one ref read, a
     conditional jump and a tail call to [f] — no allocation, no clock
-    read. The [obs:span-overhead] micro-benchmark pins this within
-    noise of calling [f] directly.
+    read; the [obs:span-overhead] micro-benchmark pins this. Span
+    timestamps and durations are wall-clock; names and nesting are
+    reproducible. Counter-style facts belong in {!Metrics}. *)
 
-    {2 Determinism}
-
-    Span {e timestamps and durations} are wall-clock and therefore not
-    reproducible; span {e names and nesting} are. Counter-style facts
-    belong in {!Metrics}, which is bit-deterministic across pool
-    sizes. *)
-
-type span = {
+type span = Recorder.span = {
   name : string;
   ts_ns : int64;  (** monotonic start time *)
   dur_ns : int64;
   tid : int;  (** recording domain's id *)
   depth : int;  (** 1 = top-level span on its domain *)
+  seq : int;  (** opening order on the recording ring *)
   attrs : (string * string) list;
 }
 
@@ -44,19 +31,24 @@ val set_enabled : bool -> unit
 (** Turn tracing on or off. Off (the default) makes {!with_span} call
     through with no recording. *)
 
-val enabled : unit -> bool
-
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a named span. The span is recorded when the
     thunk returns {e or raises}; the exception is re-raised unchanged. *)
 
 val spans : unit -> span list
-(** All recorded spans merged across domains, sorted by start time
-    (ties broken by domain id, then depth — parents before children). *)
+(** All retained spans merged across domains, sorted by start time
+    (ties broken by domain id, then opening order — parents before
+    children). *)
+
+val total : unit -> int
+(** Spans recorded since the last {!reset}, dropped ones included. *)
+
+val dropped : unit -> int
+(** Spans evicted from full rings since the last {!reset}. *)
 
 val reset : unit -> unit
-(** Drop all recorded spans. Call only while no domain is inside
-    {!with_span}. *)
+(** Drop all recorded spans (events are kept). Call only while no
+    domain is inside {!with_span}. *)
 
 val export_json : unit -> Json.t
 (** Chrome [trace_event] document:

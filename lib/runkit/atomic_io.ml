@@ -9,36 +9,6 @@ let rec mkdir_p dir =
         (try Unix.mkdir dir 0o755
          with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
 
-(* Durability of the rename itself needs the parent directory synced;
-   failure is non-fatal (some filesystems refuse fsync on a directory
-   fd) — the file content is already safe at that point. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let write_file ~path content =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (match
-     output_string oc content;
-     flush oc;
-     Unix.fsync (Unix.descr_of_out_channel oc)
-   with
-  | () -> close_out oc
-  | exception e ->
-      close_out_noerr oc;
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e);
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
-
-let write_json ~path json =
-  write_file ~path (Nisq_obs.Json.to_string json ^ "\n")
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect

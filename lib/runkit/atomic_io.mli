@@ -1,11 +1,6 @@
-(** Crash-safe filesystem primitives shared by every output path of the
-    run layer (journal, tables, telemetry, status files).
-
-    A kill mid-write must never leave a half-written file where a
-    consumer expects a complete one; {!write_file} therefore writes to a
-    sibling temporary file, fsyncs, and renames into place — on POSIX
-    the rename is atomic, so readers observe either the old content or
-    the new, never a torn mix. *)
+(** Filesystem helpers of the run layer. Atomic file replacement lives
+    one layer down, in [Nisq_obs.Json.write_atomic], so telemetry and run
+    outputs share one writer. *)
 
 val mkdir_p : string -> unit
 (** Create [dir] and any missing parents. Tolerates concurrent creation
@@ -14,17 +9,5 @@ val mkdir_p : string -> unit
     replaces). Raises [Unix.Unix_error] on real failures
     (e.g. permissions). *)
 
-val write_file : path:string -> string -> unit
-(** Atomically replace [path] with [content]: write
-    [path.tmp.<pid>], flush, [fsync], rename over [path], then
-    best-effort fsync the containing directory. On error the temporary
-    file is removed and [path] is untouched. *)
-
-val write_json : path:string -> Nisq_obs.Json.t -> unit
-(** {!write_file} of the compact rendering plus a trailing newline. *)
-
 val read_file : string -> string
 (** Whole-file read (binary). Raises [Sys_error] if unreadable. *)
-
-val fsync_dir : string -> unit
-(** Best-effort fsync of a directory fd (persists renames/creates). *)

@@ -155,7 +155,7 @@ let figure_cached t name =
 let figure_done t name text =
   (* table file first, journal record second: the record implies the
      rendered table exists *)
-  Atomic_io.write_file ~path:(table_path t name) text;
+  Json.write_atomic ~path:(table_path t name) text;
   with_lock t (fun () ->
       append t
         (Json.Obj
@@ -164,7 +164,7 @@ let figure_done t name text =
 
 let write_status t ~status =
   let cached, computed = cache_stats t in
-  Atomic_io.write_json
+  Json.to_file
     ~path:(Filename.concat t.dir "status.json")
     (Json.Obj
        [ ("run_id", Json.String t.id);

@@ -643,6 +643,7 @@ let check_trials fn trials =
 
 let success_rate_seq ?(trials = 4096) ~seed t =
   check_trials "Runner.success_rate_seq" trials;
+  Trace.with_span "simulate" @@ fun () ->
   let hits = ref 0 in
   for i = 0 to num_chunks trials - 1 do
     (* Same cancellation point the pool path hits via [Pool.run_chunk],
@@ -700,6 +701,7 @@ let merge_counts per_chunk =
 
 let distribution_seq ?(trials = 4096) ~seed t =
   check_trials "Runner.distribution_seq" trials;
+  Trace.with_span "simulate" @@ fun () ->
   merge_counts
     (List.init (num_chunks trials) (fun i ->
          Nisq_runkit.Deadline.chunk_checkpoint i;

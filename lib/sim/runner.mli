@@ -101,7 +101,8 @@ val success_rate :
 val success_rate_seq : ?trials:int -> seed:int -> t -> float
 (** The same estimate computed strictly sequentially in the calling
     domain — bit-identical to {!success_rate} for equal arguments; kept
-    as the reference path for tests and benchmarks. *)
+    as the reference path for tests, benchmarks and fanned-out figure
+    cells. Each estimate, on either path, records one [simulate] span. *)
 
 val distribution :
   ?trials:int -> ?pool:Nisq_util.Pool.t -> seed:int -> t -> (int * int) list

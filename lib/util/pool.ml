@@ -105,6 +105,9 @@ let run_chunk f i =
       (Error e, false)
   | exception e ->
       Metrics.incr m_chunk_failures;
+      Nisq_obs.Events.emit ~domain:"pool" Nisq_obs.Events.Info
+        (Printf.sprintf "pool: chunk %d failed, retrying once" i)
+        ~fields:[ ("chunk", string_of_int i); ("error", Printexc.to_string e) ];
       let die = match e with Faultkit.Domain_kill -> true | _ -> false in
       (match attempt () with
       | v ->
@@ -171,6 +174,8 @@ let create ?size () =
 
 let size t = t.size
 
+let sequential t = t.size <= 1
+
 let shutdown t =
   Mutex.lock t.mutex;
   let workers = t.workers in
@@ -198,7 +203,7 @@ let default () =
   Mutex.unlock default_mutex;
   p
 
-let sequential chunks f =
+let in_caller chunks f =
   List.init chunks (fun i ->
       match run_chunk f i with
       | Ok v, _ -> v
@@ -229,10 +234,10 @@ let parallel_chunks t ~chunks f =
      and pooled execution alike. *)
   Metrics.incr m_parallel_calls;
   Metrics.add m_tasks chunks;
-  if t.size > 1 then heal t;
+  if not (sequential t) then heal t;
   Metrics.set g_workers (float_of_int (Array.length t.workers));
-  if t.size <= 1 || t.stopped || chunks = 1 then
-    with_entered t (fun () -> sequential chunks f)
+  if sequential t || t.stopped || chunks = 1 then
+    with_entered t (fun () -> in_caller chunks f)
   else begin
     let results = Array.make chunks None in
     let remaining = ref chunks in

@@ -24,16 +24,22 @@
 type t
 
 val create : ?size:int -> unit -> t
-(** [create ()] spawns a pool of worker domains. The worker count is
-    [size] when given, else the [NISQ_DOMAINS] environment variable,
-    else [Domain.recommended_domain_count () - 1] (reserving one core
-    for the calling domain). A non-integer or negative [NISQ_DOMAINS]
-    is ignored with a single warning on stderr and the default sizing
+(** [create ()] makes a pool. Its size is [size] when given, else the
+    [NISQ_DOMAINS] environment variable, else
+    [Domain.recommended_domain_count () - 1] (reserving one core for
+    the calling domain). A non-integer or negative [NISQ_DOMAINS] is
+    ignored with a single warning on stderr and the default sizing
     applies. A pool of size ≤ 1 spawns no domains and runs every call
-    sequentially in the caller. *)
+    sequentially in the caller; a larger pool spawns [size] worker
+    domains. *)
 
 val size : t -> int
-(** Number of worker domains ([0] for a sequential pool). *)
+(** The size the pool was created with (negative requests clamp to
+    [0]). Worker domains exist only when it is greater than 1: a pool of
+    size 0 or 1 spawns none and is sequential (see {!sequential}). *)
+
+val sequential : t -> bool
+(** [true] when the pool spawned no worker domain ([size t <= 1]). *)
 
 val default : unit -> t
 (** The shared process-wide pool, created on first use with the default

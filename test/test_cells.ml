@@ -1,13 +1,16 @@
 (* Tests for the figure-cell fan-out (Nisq_bench.Experiments.map_cells):
    the determinism contract — identical figure data, and identical
    journal cell sets, at any pool size — plus the NISQ_CELL_FANOUT
-   opt-out and the no-nested-fan-out guard. *)
+   opt-out, the no-nested-fan-out guard and one [simulate] span per
+   cell on either Monte-Carlo path. *)
 
 module E = Nisq_bench.Experiments
 module Compile = Nisq_compiler.Compile
 module Pool = Nisq_util.Pool
 module Run = Nisq_runkit.Run
 module Json = Nisq_obs.Json
+module Trace = Nisq_obs.Trace
+module Config = Nisq_compiler.Config
 
 let with_pool size f =
   let pool = Pool.create ~size () in
@@ -70,6 +73,41 @@ let test_fanout_env_disable () =
         with_pool 4 (fun pool -> fingerprint (E.fig5_data ~trials:64 ~pool ()))
       in
       Alcotest.(check bool) "disabled fan-out identical" true (base = disabled))
+
+(* Inside a fanned-out cell the estimate takes the sequential path, the
+   pooled path otherwise: both must record exactly one [simulate] span,
+   so a figure's span summary counts every estimate. *)
+let test_one_simulate_span_per_cell () =
+  let calib = Nisq_device.Ibmq16.calibration ~day:0 () in
+  let bv4 = (Nisq_bench.Benchmarks.by_name "BV4").Nisq_bench.Benchmarks.circuit in
+  let result =
+    Compile.run ~config:(Config.make (Config.R_smt_star 0.5)) ~calib bv4
+  in
+  let n = 6 in
+  List.iter
+    (fun size ->
+      with_pool size (fun pool ->
+          Trace.reset ();
+          Trace.set_enabled true;
+          Fun.protect
+            ~finally:(fun () ->
+              Trace.set_enabled false;
+              Trace.reset ())
+            (fun () ->
+              ignore
+                (E.map_cells ~pool
+                   (List.init n (fun seed () ->
+                        E.checkpointed_success_rate ~trials:300 ~seed ~pool
+                          result)));
+              let simulate =
+                List.filter
+                  (fun (s : Trace.span) -> s.name = "simulate")
+                  (Trace.spans ())
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "simulate spans at pool size %d" size)
+                n (List.length simulate))))
+    [ 0; 4 ]
 
 (* ------------------------- journal equality ------------------------ *)
 
@@ -154,6 +192,7 @@ let suite =
     ("no nested fan-out", `Quick, test_map_cells_no_nested_fanout);
     ("fig5 identical across pool sizes", `Slow, test_fig5_identical_across_pool_sizes);
     ("NISQ_CELL_FANOUT=0 identical", `Quick, test_fanout_env_disable);
+    ("one simulate span per cell", `Quick, test_one_simulate_span_per_cell);
     ("journal cell sets identical", `Quick, test_journals_identical_across_pool_sizes);
     ("resume replays fanned-out journal", `Quick, test_resume_replays_fanned_out_journal);
   ]

@@ -11,6 +11,8 @@
 module Json = Nisq_obs.Json
 module Metrics = Nisq_obs.Metrics
 module Events = Nisq_obs.Events
+module Trace = Nisq_obs.Trace
+module Recorder = Nisq_obs.Recorder
 module Report = Nisq_obs.Report
 module Pool = Nisq_util.Pool
 module Calib_cache = Nisq_device.Calib_cache
@@ -222,6 +224,60 @@ let test_event_disabled_no_alloc () =
   ignore (probe ());
   Alcotest.(check (float 0.0)) "no allocation when disabled" 0.0 (probe ())
 
+(* -------------------------- one recorder --------------------------- *)
+
+(* Spans and events share one ring per domain but not one capacity: a
+   flood of ten times the span capacity keeps exactly the newest
+   [span_capacity] spans, counts the rest as dropped, and leaves a
+   warning emitted before the flood in the ledger. *)
+let test_span_flood_keeps_events () =
+  obs_off ();
+  Trace.reset ();
+  Events.set_enabled true;
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.reset ();
+      obs_off ())
+  @@ fun () ->
+  Events.emit ~domain:"test" Events.Warn "recorder test: warning before a span flood";
+  let cap = Recorder.span_capacity in
+  let flood = (10 * cap) + 7 in
+  for _ = 1 to flood do
+    Trace.with_span "flood" ignore
+  done;
+  Alcotest.(check int) "retained spans" cap (List.length (Trace.spans ()));
+  Alcotest.(check int) "total spans" flood (Trace.total ());
+  Alcotest.(check int) "dropped spans" (flood - cap) (Trace.dropped ());
+  Alcotest.(check int) "no event dropped" 0 (Events.dropped ());
+  Alcotest.(check bool)
+    "warning exported" true
+    (Astring_contains.contains (Events.export_jsonl ())
+       "warning before a span flood")
+
+(* A domain's ring is recycled when it exits: a thousand short-lived
+   domains, spawned one at a time, reuse one ring instead of growing
+   the registry, and every event they emit is still counted. *)
+let test_domain_churn_recycles_rings () =
+  obs_off ();
+  Events.set_enabled true;
+  Fun.protect ~finally:obs_off @@ fun () ->
+  let before = Recorder.rings () in
+  let n = 1000 in
+  for i = 1 to n do
+    Domain.join
+      (Domain.spawn (fun () ->
+           Events.emit ~domain:"test" Events.Info "short-lived domain"
+             ~fields:[ ("i", string_of_int i) ]))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "registry bounded (%d rings before, %d after)" before
+       (Recorder.rings ()))
+    true
+    (Recorder.rings () <= before + 1);
+  Alcotest.(check int) "every event counted" n (Events.total ())
+
 (* ------------------------- explain reports ------------------------- *)
 
 let calib = Ibmq16.calibration ~day:0 ()
@@ -427,6 +483,10 @@ let suite =
     Alcotest.test_case "events: export shape" `Quick test_event_export_shape;
     Alcotest.test_case "events: disabled emit never allocates" `Quick
       test_event_disabled_no_alloc;
+    Alcotest.test_case "recorder: span flood keeps events" `Quick
+      test_span_flood_keeps_events;
+    Alcotest.test_case "recorder: exited domains recycle their rings" `Quick
+      test_domain_churn_recycles_rings;
     Alcotest.test_case "report: byte-identity across pool sizes" `Quick
       test_report_byte_identity;
     Alcotest.test_case "report: ESP decomposition and validation" `Quick

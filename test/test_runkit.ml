@@ -59,10 +59,10 @@ let test_mkdir_p () =
 
 let test_atomic_write_roundtrip () =
   let path = Filename.concat (fresh_dir ()) "out.txt" in
-  Atomic_io.write_file ~path "first\n";
+  Json.write_atomic ~path "first\n";
   Alcotest.(check string) "content" "first\n" (Atomic_io.read_file path);
   (* overwrite is atomic: no .tmp residue, new content wins *)
-  Atomic_io.write_file ~path "second\n";
+  Json.write_atomic ~path "second\n";
   Alcotest.(check string) "overwritten" "second\n" (Atomic_io.read_file path);
   let dir = Filename.dirname path in
   Array.iter
@@ -73,7 +73,7 @@ let test_atomic_write_roundtrip () =
 
 let test_write_json () =
   let path = Filename.concat (fresh_dir ()) "v.json" in
-  Atomic_io.write_json ~path (Json.Obj [ ("x", Json.Int 3) ]);
+  Json.to_file ~path (Json.Obj [ ("x", Json.Int 3) ]);
   Alcotest.(check string) "doc" "{\"x\":3}\n" (Atomic_io.read_file path)
 
 (* ------------------------- duration parsing ------------------------ *)

@@ -727,6 +727,64 @@ let test_coalesced_bytes_identical () =
       Alcotest.(check string) "coalesced = uncoalesced bytes" uncoalesced a
   | [] -> assert false
 
+(* Telemetry observes and never answers: the Table 2 compile and run
+   replies are byte-identical with Trace, Events and Metrics all armed
+   and all off. Each pass clears the calibration cache so both compute
+   from cold. *)
+let test_replies_independent_of_telemetry () =
+  let module Trace = Nisq_obs.Trace in
+  let module Events = Nisq_obs.Events in
+  let module Metrics = Nisq_obs.Metrics in
+  let set_all on =
+    Trace.set_enabled on;
+    Events.set_enabled on;
+    Metrics.set_enabled on
+  in
+  let requests =
+    List.concat_map
+      (fun (b : Nisq_bench.Benchmarks.t) ->
+        let compile = compile_params b.Nisq_bench.Benchmarks.name in
+        [
+          Protocol.Compile compile;
+          Protocol.Run { compile; trials = 256; sim_seed = 7 };
+        ])
+      Nisq_bench.Benchmarks.all
+    |> List.mapi (fun i verb -> { Protocol.id = i + 1; deadline_ms = None; verb })
+  in
+  let reply_frames on =
+    Nisq_device.Calib_cache.clear ();
+    set_all on;
+    Fun.protect
+      ~finally:(fun () ->
+        set_all false;
+        Trace.reset ();
+        Events.reset ();
+        Metrics.reset ())
+    @@ fun () ->
+    with_server @@ fun socket ->
+    match Client.connect ~socket with
+    | Error msg -> Alcotest.failf "connect: %s" msg
+    | Ok conn ->
+        Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+        List.map
+          (fun req ->
+            (* [record] sees the request frame, then the reply frame *)
+            let frames = ref [] in
+            match Client.call ~record:(fun w -> frames := w :: !frames) conn req with
+            | Ok { Protocol.body = Protocol.Result _; _ } -> List.hd !frames
+            | Ok _ -> Alcotest.failf "request %d did not succeed" req.Protocol.id
+            | Error msg -> Alcotest.failf "request %d: %s" req.Protocol.id msg)
+          requests
+  in
+  let armed = reply_frames true in
+  let quiet = reply_frames false in
+  Alcotest.(check int) "every request answered" (List.length requests)
+    (List.length armed);
+  List.iteri
+    (fun i (a, q) ->
+      Alcotest.(check string) (Printf.sprintf "reply %d bytes" (i + 1)) q a)
+    (List.combine armed quiet)
+
 (* --------------------------- faultkit spec -------------------------- *)
 
 let test_server_fault_clauses () =
@@ -795,6 +853,8 @@ let suite =
       test_e2e_faults;
     Alcotest.test_case "determinism: coalesced = uncoalesced bytes" `Quick
       test_coalesced_bytes_identical;
+    Alcotest.test_case "determinism: replies independent of telemetry" `Quick
+      test_replies_independent_of_telemetry;
     Alcotest.test_case "faultkit: server clauses one-shot" `Quick
       test_server_fault_clauses;
     Alcotest.test_case "faultkit: malformed server clauses rejected" `Quick
