@@ -8,10 +8,7 @@ let encode json =
   if n > max_payload_bytes then
     invalid_arg (Printf.sprintf "Frame.encode: %d-byte payload" n);
   let b = Bytes.create (4 + n) in
-  Bytes.set_uint8 b 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 b 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 b 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 b 3 (n land 0xff);
+  Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.blit_string payload 0 b 4 n;
   Bytes.unsafe_to_string b
 
@@ -47,70 +44,88 @@ let error_message = function
         max_payload_bytes
   | Malformed msg -> Printf.sprintf "malformed payload: %s" msg
 
-(* Read exactly [len] bytes; [`Eof n] reports how many arrived before
-   the stream ended. A remote hard close can also surface as
-   ECONNRESET/EPIPE — to a frame reader that is the same event as a
-   mid-frame EOF, so it maps to the same result. *)
-let read_exact fd buf len =
-  let rec go pos =
-    if pos >= len then `Ok
-    else
-      match Unix.read fd buf pos (len - pos) with
-      | 0 -> `Eof pos
-      | n -> go (pos + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-      | exception
-          Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-          `Eof pos
-  in
-  go 0
+(* The buffer grows with the bytes that arrive, never with what a
+   length prefix claims. *)
+type decoder = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
 
+let decoder () = { buf = Bytes.create 256; start = 0; stop = 0 }
+
+let length_at b p = Int32.to_int (Bytes.get_int32_be b p) land 0xffff_ffff
+
+(* Bytes the buffered frame still lacks; 0 once it is whole or its
+   prefix is already over the cap. *)
+let missing d =
+  let have = d.stop - d.start in
+  if have < 4 then 4 - have
+  else
+    let n = length_at d.buf d.start in
+    if n > max_payload_bytes then 0 else max 0 (4 + n - have)
+
+let next ?record d =
+  if missing d > 0 then None
+  else
+    let n = length_at d.buf d.start in
+    if n > max_payload_bytes then Some (Error (Too_large n))
+    else begin
+      Option.iter (fun f -> f (Bytes.sub_string d.buf d.start (4 + n))) record;
+      let payload = Bytes.sub_string d.buf (d.start + 4) n in
+      d.start <- d.start + 4 + n;
+      Some (Result.map_error (fun msg -> Malformed msg) (Json.of_string payload))
+    end
+
+let ended d =
+  let have = d.stop - d.start in
+  if have = 0 then Eof
+  else if have < 4 then Torn "the length prefix"
+  else Torn "the payload"
+
+(* A remote hard close can surface as ECONNRESET/EPIPE: to a frame
+   reader that is the same event as end of stream. *)
+let fill d fd n =
+  let have = d.stop - d.start in
+  if d.stop + n > Bytes.length d.buf then begin
+    let buf =
+      if have + n > Bytes.length d.buf then
+        Bytes.create (max (have + n) (2 * Bytes.length d.buf))
+      else d.buf
+    in
+    Bytes.blit d.buf d.start buf 0 have;
+    d.buf <- buf;
+    d.start <- 0;
+    d.stop <- have
+  end;
+  let rec go () =
+    match Unix.read fd d.buf d.stop n with
+    | 0 -> Some (ended d)
+    | got ->
+        d.stop <- d.stop + got;
+        None
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Some (ended d)
+  in
+  go ()
+
+(* Never reads past the frame: the next one belongs to the next call. *)
 let read ?record fd =
-  let header = Bytes.create 4 in
-  match read_exact fd header 4 with
-  | `Eof 0 -> Error Eof
-  | `Eof _ -> Error (Torn "the length prefix")
-  | `Ok -> (
-      let n =
-        (Bytes.get_uint8 header 0 lsl 24)
-        lor (Bytes.get_uint8 header 1 lsl 16)
-        lor (Bytes.get_uint8 header 2 lsl 8)
-        lor Bytes.get_uint8 header 3
-      in
-      if n > max_payload_bytes then Error (Too_large n)
-      else
-        let payload = Bytes.create n in
-        match read_exact fd payload n with
-        | `Eof _ -> Error (Torn "the payload")
-        | `Ok -> (
-            let s = Bytes.unsafe_to_string payload in
-            (match record with
-            | Some f -> f (Bytes.to_string header ^ s)
-            | None -> ());
-            match Json.of_string s with
-            | Ok v -> Ok v
-            | Error msg -> Error (Malformed msg)))
+  let d = decoder () in
+  let rec go () =
+    match next ?record d with
+    | Some r -> r
+    | None -> (
+        match fill d fd (min (missing d) 65536) with
+        | None -> go ()
+        | Some e -> Error e)
+  in
+  go ()
 
 let scan_string src =
-  let len = String.length src in
-  let rec go acc pos =
-    if pos = len then Ok (List.rev acc)
-    else if pos + 4 > len then Error "torn length prefix"
-    else
-      let n =
-        (Char.code src.[pos] lsl 24)
-        lor (Char.code src.[pos + 1] lsl 16)
-        lor (Char.code src.[pos + 2] lsl 8)
-        lor Char.code src.[pos + 3]
-      in
-      if n > max_payload_bytes then
-        Error (Printf.sprintf "frame length %d exceeds the cap" n)
-      else if pos + 4 + n > len then
-        Error (Printf.sprintf "torn payload at byte %d" pos)
-      else
-        match Json.of_string (String.sub src (pos + 4) n) with
-        | Ok v -> go (v :: acc) (pos + 4 + n)
-        | Error msg ->
-            Error (Printf.sprintf "frame at byte %d: invalid JSON: %s" pos msg)
+  let d = { buf = Bytes.of_string src; start = 0; stop = String.length src } in
+  let rec go acc =
+    let pos = d.start in
+    let fail e = Error (Printf.sprintf "frame at byte %d: %s" pos (error_message e)) in
+    match next d with
+    | Some (Ok v) -> go (v :: acc)
+    | Some (Error e) -> fail e
+    | None -> ( match ended d with Eof -> Ok (List.rev acc) | e -> fail e)
   in
-  go [] 0
+  go []

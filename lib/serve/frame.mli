@@ -36,9 +36,22 @@ type error =
 
 val error_message : error -> string
 
+type decoder
+(** Incremental reassembly, behind {!read}, {!scan_string} and the
+    daemon's select loop. *)
+
+val decoder : unit -> decoder
+
+val fill : decoder -> Unix.file_descr -> int -> error option
+(** One [Unix.read] of up to [n] bytes; [Some Eof]/[Some (Torn _)] at
+    end of stream. *)
+
+val next : ?record:(string -> unit) -> decoder -> (Nisq_obs.Json.t, error) result option
+(** The next frame once whole; the stream is unframed after an [Error].
+    [record] receives its wire bytes, prefix included. *)
+
 val read : ?record:(string -> unit) -> Unix.file_descr -> (Nisq_obs.Json.t, error) result
-(** Read one frame. [record] (when given) receives the raw wire bytes
-    of the frame as read, prefix included, before parsing. *)
+(** Read one frame, never past its end. [record] as in {!next}. *)
 
 val scan_string : string -> (Nisq_obs.Json.t list, string) result
 (** Decode a byte string holding zero or more concatenated frames —

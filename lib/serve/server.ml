@@ -179,30 +179,27 @@ let run_result ?calib (p : Protocol.run_params) =
   | Json.Obj kvs -> Json.Obj (kvs @ extra)
   | _ -> assert false
 
+let failed ?(retryable = false) code message =
+  Protocol.Failed { code; message; retryable }
+
 let handle_work ?calib verb =
   match verb with
   | Protocol.Compile p -> Protocol.Result (snd (compile_result ?calib p))
   | Protocol.Run p -> Protocol.Result (run_result ?calib p)
   | Protocol.Ping | Protocol.Stats | Protocol.Drain | Protocol.Reload _ ->
-      Protocol.Failed
-        {
-          code = "not-work";
-          message =
-            Printf.sprintf "%S is answered inline, not queued"
-              (Protocol.verb_name verb);
-          retryable = false;
-        }
+      failed "not-work"
+        (Printf.sprintf "%S is answered inline, not queued"
+           (Protocol.verb_name verb))
 
 (* --------------------------- server state --------------------------- *)
 
 type conn = {
   fd : Unix.file_descr;
   wmutex : Mutex.t;
-  (* No more writes: the peer is gone or the reply stream was severed. *)
+  (* No more writes: the peer is gone, a write timed out, or the loop
+     closed the fd (and its number may be reused). Set under [wmutex]. *)
   mutable dead : bool;
-  (* The reader closed the fd and is terminating: the connection can be
-     reaped (joined) without blocking, and the fd number may be reused. *)
-  mutable closed : bool;
+  dec : Frame.decoder;
 }
 
 type drain_cause = Running | By_signal of Deadline.reason | By_verb
@@ -224,9 +221,9 @@ type t = {
   served : int Atomic.t;
   crashes : int Atomic.t;
   started_ns : int64;
-  conns_mutex : Mutex.t;
-  mutable conns : (conn * unit Domain.t) list;
-  (* server:slow / server:crash-handler clauses consumed by the reader
+  (* Owned by the select loop on the calling domain. *)
+  mutable conns : conn list;
+  (* server:slow / server:crash-handler clauses consumed by the loop
      at arrival (the faultkit is one-shot) but acted on by the worker. *)
   faults_mutex : Mutex.t;
   handler_faults : (int, Faultkit.server_fault) Hashtbl.t;
@@ -253,7 +250,7 @@ let locked m f =
    connection is marked dead and the server moves on. *)
 let send_reply ?net_fault conn (reply : Protocol.reply) =
   locked conn.wmutex (fun () ->
-      if not (conn.dead || conn.closed) then
+      if not conn.dead then
         let json = Protocol.reply_to_json reply in
         try
           match net_fault with
@@ -325,26 +322,16 @@ let work_one t (entry : Admission.entry) =
     | Ok body -> body
     | Error _ ->
         Metrics.incr m_deadline_expired;
-        Protocol.Failed
-          {
-            code = "deadline";
-            message =
-              Printf.sprintf "request exceeded its %d ms deadline" deadline_ms;
-            retryable = false;
-          }
+        failed "deadline"
+          (Printf.sprintf "request exceeded its %d ms deadline" deadline_ms)
     | exception Deadline.Cancelled _ ->
         (* Drain stage 2: the global token is flipped. Fail the request
            as retryable — a restarted daemon will serve it — and keep
            looping; the queue is stopped, so the worker exits once the
            backlog of instantly-cancelling entries is delivered. *)
-        Protocol.Failed
-          {
-            code = "draining";
-            message = "server is draining; retry against the next instance";
-            retryable = true;
-          }
-    | exception Bad_request message ->
-        Protocol.Failed { code = "bad-request"; message; retryable = false }
+        failed ~retryable:true "draining"
+          "server is draining; retry against the next instance"
+    | exception Bad_request message -> failed "bad-request" message
     | exception exn ->
         (* The resilience contract: a crashing handler produces a
            structured error reply and a metric tick; the worker domain
@@ -355,12 +342,7 @@ let work_one t (entry : Admission.entry) =
           (Printf.sprintf "nisqd: %s handler crashed: %s" verb_name
              (Printexc.to_string exn))
           ~fields:[ ("verb", verb_name) ];
-        Protocol.Failed
-          {
-            code = "internal";
-            message = Printexc.to_string exn;
-            retryable = true;
-          }
+        failed ~retryable:true "internal" (Printexc.to_string exn)
   in
   let ms = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e6 in
   Admission.note_service_ms t.queue ms;
@@ -386,12 +368,7 @@ let rec worker_loop t =
 (* ------------------------------ reload ------------------------------ *)
 
 let draining_reply =
-  Protocol.Failed
-    {
-      code = "draining";
-      message = "server is draining; not accepting reloads";
-      retryable = true;
-    }
+  failed ~retryable:true "draining" "server is draining; not accepting reloads"
 
 let enqueue_reload t req =
   if Atomic.get t.reload_stop then
@@ -521,7 +498,7 @@ let stats_json t =
      ]
     @ calib)
 
-(* ------------------------------ readers ----------------------------- *)
+(* ----------------------------- dispatch ----------------------------- *)
 
 let request_drain t cause =
   ignore (Atomic.compare_and_set t.drain Running cause)
@@ -543,18 +520,13 @@ let dispatch t conn (req : Protocol.request) =
             {
               id = req.id;
               body =
-                Protocol.Failed
-                  {
-                    code = "no-calibration";
-                    message =
-                      "daemon serves synthetic calibration; start with \
-                       --calib FILE to enable reload";
-                    retryable = false;
-                  };
+                failed "no-calibration"
+                  "daemon serves synthetic calibration; start with --calib \
+                   FILE to enable reload";
             }
       | Some _ ->
           (* Queued to the reload domain; the reply arrives once the
-             pipeline decides. The reader keeps reading — other requests
+             pipeline decides. The loop keeps reading — other requests
              on this connection are served meanwhile. *)
           let deliver body = send_reply conn { id = req.id; body } in
           enqueue_reload t { rpath = path; rdeliver = Some deliver })
@@ -594,84 +566,96 @@ let dispatch t conn (req : Protocol.request) =
       | Admission.Draining ->
           release_pin t epoch;
           deliver
-            (Protocol.Failed
-               {
-                 code = "draining";
-                 message = "server is draining; not accepting new work";
-                 retryable = true;
-               }))
+            (failed ~retryable:true "draining"
+               "server is draining; not accepting new work"))
 
-let reader_loop t conn =
-  let rec loop () =
-    match Frame.read conn.fd with
-    | Error Frame.Eof -> ()
-    | Error ((Frame.Torn _ | Frame.Too_large _ | Frame.Malformed _) as e) ->
-        (* The stream is unframed from here on; answer what we can and
-           hang up. id 0 is reserved for "could not even parse the
-           request". *)
-        send_reply conn
-          {
-            id = 0;
-            body =
-              Protocol.Failed
-                {
-                  code = "bad-frame";
-                  message = Frame.error_message e;
-                  retryable = false;
-                };
-          }
-    | Ok json ->
-        (match Protocol.request_of_json json with
-        | Error message ->
-            send_reply conn
-              {
-                id = 0;
-                body =
-                  Protocol.Failed
-                    { code = "bad-request"; message; retryable = false };
-              }
-        | Ok req -> dispatch t conn req);
-        loop ()
-  in
-  loop ();
-  (* The reader owns the fd: close exactly once, here, whatever state
-     the writers left the connection in. *)
+(* ------------------------------- loop ------------------------------- *)
+
+(* Live connections stay well below select's FD_SETSIZE (1024): OCaml's
+   [Unix.select] raises EINVAL on a larger fd. *)
+let max_connections = 256
+
+(* A blocked reply write fails after this long, so a peer that stops
+   reading cannot block the loop or a worker forever. *)
+let send_timeout_s = 1.0
+
+(* Only the loop closes an fd, and only here: under the write mutex,
+   so a worker never writes to a reused fd number. *)
+let hang_up conn =
   locked conn.wmutex (fun () ->
       conn.dead <- true;
-      if not conn.closed then begin
-        conn.closed <- true;
-        (try Unix.close conn.fd with Unix.Unix_error _ -> ())
-      end)
+      try Unix.close conn.fd with Unix.Unix_error _ -> ())
 
-(* ------------------------------- drain ------------------------------ *)
-
-(* Reap connections whose reader has finished: join costs nothing once
-   [closed] is set, and eager joins keep a long-lived daemon's domain
-   count proportional to live connections, not total ones. *)
-let reap_finished t =
-  let finished =
-    locked t.conns_mutex (fun () ->
-        let gone, live =
-          List.partition (fun (conn, _) -> conn.closed) t.conns
-        in
-        t.conns <- live;
-        gone)
+(* One read, then every whole frame it completed. [false]: hang up. An
+   unframed stream is answered what we can (id 0 is reserved for "could
+   not even parse the request") and then hung up. *)
+let serve_readable t conn =
+  let unframed e =
+    send_reply conn { id = 0; body = failed "bad-frame" (Frame.error_message e) };
+    false
   in
-  List.iter (fun (_, d) -> Domain.join d) finished
+  let rec frames () =
+    match Frame.next conn.dec with
+    | None -> true
+    | Some (Error e) -> unframed e
+    | Some (Ok json) ->
+        (match Protocol.request_of_json json with
+        | Error message -> send_reply conn { id = 0; body = failed "bad-request" message }
+        | Ok req -> dispatch t conn req);
+        frames ()
+  in
+  match Frame.fill conn.dec conn.fd 65536 with
+  | None -> frames ()
+  | Some Frame.Eof -> false
+  | Some e -> unframed e
 
-let sever_connections t =
-  let conns = locked t.conns_mutex (fun () -> t.conns) in
-  List.iter
-    (fun (conn, _) ->
-      locked conn.wmutex (fun () ->
-          conn.dead <- true;
-          (* shutdown, not close: unblocks a reader parked in
-             [Frame.read]; the reader closes the fd on its way out. *)
-          if not conn.closed then
-            try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-            with Unix.Unix_error _ -> ()))
-    conns;
-  List.iter (fun (_, d) -> Domain.join d) conns
+(* [false]: accept failed for want of a resource (EMFILE, ENFILE,
+   ENOBUFS, ENOMEM) or a peer that gave up; leave the listener out of
+   the next select rather than spin on it while it stays readable. *)
+let accept t listener =
+  match Unix.accept listener with
+  | fd, _ ->
+      Metrics.incr m_conns;
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s;
+      let conn =
+        { fd; wmutex = Mutex.create (); dead = false; dec = Frame.decoder () }
+      in
+      if List.length t.conns < max_connections then t.conns <- conn :: t.conns
+      else begin
+        let queue_depth = Admission.depth t.queue in
+        send_reply conn { id = 0; body = Overloaded { retry_after_ms = 1000; queue_depth } };
+        hang_up conn
+      end;
+      true
+  | exception
+      Unix.Unix_error
+        ( ( EMFILE | ENFILE | ENOBUFS | ENOMEM | ECONNABORTED | EAGAIN
+          | EWOULDBLOCK | EINTR ), _, _ ) ->
+      false
+
+(* One pass: wait up to [timeout] for the listener (when given) or any
+   connection, serve every readable connection, hang up on the ones a
+   worker marked dead, accept at most one. Returns whether the listener
+   may be polled on the next pass. *)
+let poll t listener timeout =
+  let fds = Option.to_list listener @ List.map (fun c -> c.fd) t.conns in
+  let readable =
+    match Unix.select fds [] [] timeout with
+    | r, _, _ -> r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+  in
+  t.conns <-
+    List.filter
+      (fun c ->
+        let keep =
+          (not c.dead) && ((not (List.mem c.fd readable)) || serve_readable t c)
+        in
+        if not keep then hang_up c;
+        keep)
+      t.conns;
+  match listener with
+  | Some l when List.mem l readable -> accept t l
+  | _ -> true
 
 let fail_leftovers t =
   let rec loop () =
@@ -679,12 +663,8 @@ let fail_leftovers t =
     | None -> ()
     | Some entry ->
         deliver_all entry
-          (Protocol.Failed
-             {
-               code = "draining";
-               message = "server drained before this request was served";
-               retryable = true;
-             });
+          (failed ~retryable:true "draining"
+             "server drained before this request was served");
         (* The entry owned its epoch pin from admission; an unserved
            entry must still release it or the epoch leaks forever. *)
         release_pin t entry.Admission.epoch;
@@ -773,20 +753,28 @@ let run ?(on_ready = fun () -> ()) ?(signals = false) cfg =
      raise
        (Startup_error
           (Printf.sprintf "cannot bind %s: %s" cfg.socket (Unix.error_message e))));
-  Unix.listen listen_fd 64;
-  let store =
-    match cfg.calib with
-    | None -> None
-    | Some ccfg ->
-        let calib =
-          try load_initial_calib ccfg
-          with Startup_error _ as e ->
-            (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-            (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
-            raise e
-        in
-        Some (Calib_store.create ~calib ~source:ccfg.calib_path)
+  (* From here on every exit path, an exception included, closes the
+     listener and unlinks the socket — exactly once, so a later daemon's
+     socket on the same path is never removed. *)
+  let listening = ref true in
+  let stop_listening () =
+    if !listening then begin
+      listening := false;
+      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+      try Unix.unlink cfg.socket with Unix.Unix_error _ -> ()
+    end
   in
+  let old_signals = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ())
+        !old_signals;
+      stop_listening ())
+  @@ fun () ->
+  Unix.listen listen_fd 64;
+  let epoch0 c = Calib_store.create ~calib:(load_initial_calib c) ~source:c.calib_path in
+  let store = Option.map epoch0 cfg.calib in
   let t =
     {
       cfg;
@@ -799,7 +787,6 @@ let run ?(on_ready = fun () -> ()) ?(signals = false) cfg =
       served = Atomic.make 0;
       crashes = Atomic.make 0;
       started_ns = Clock.now_ns ();
-      conns_mutex = Mutex.create ();
       conns = [];
       faults_mutex = Mutex.create ();
       handler_faults = Hashtbl.create 8;
@@ -813,9 +800,8 @@ let run ?(on_ready = fun () -> ()) ?(signals = false) cfg =
       r_rollbacks = Atomic.make 0;
     }
   in
-  let old_term = ref Sys.Signal_default and old_int = ref Sys.Signal_default in
-  let old_hup = ref Sys.Signal_default in
   if signals then begin
+    let install s b = old_signals := (s, Sys.signal s b) :: !old_signals in
     let on_signal reason _ =
       match Atomic.get t.drain with
       | Running -> request_drain t (By_signal reason)
@@ -823,60 +809,57 @@ let run ?(on_ready = fun () -> ()) ?(signals = false) cfg =
           (* Second signal: the operator means it. *)
           Stdlib.exit (Deadline.exit_code reason)
     in
-    old_term := Sys.signal Sys.sigterm (Sys.Signal_handle (on_signal Deadline.Sigterm));
-    old_int := Sys.signal Sys.sigint (Sys.Signal_handle (on_signal Deadline.Sigint));
+    install Sys.sigterm (Sys.Signal_handle (on_signal Deadline.Sigterm));
+    install Sys.sigint (Sys.Signal_handle (on_signal Deadline.Sigint));
     if Option.is_some t.store then
       (* The handler only flips an atomic: Events/Metrics take mutexes
          a signal handler could deadlock on. The reload domain notices
          the flag within one poll tick. *)
-      old_hup :=
-        Sys.signal Sys.sighup (Sys.Signal_handle (fun _ -> Atomic.set t.hup true))
+      install Sys.sighup (Sys.Signal_handle (fun _ -> Atomic.set t.hup true))
   end;
-  let reload_domain =
-    match (t.store, cfg.calib) with
-    | Some store, Some ccfg ->
-        Some (Domain.spawn (fun () -> reload_loop t ccfg store))
-    | _ -> None
+  (* [live] counts the reload and worker domains still running, so the
+     loop keeps serving while they stop and the joins never block it. *)
+  let live = Atomic.make 0 and domains = ref [] in
+  let stop_domains () =
+    Admission.stop t.queue;
+    Atomic.set t.reload_stop true;
+    while Atomic.get live > 0 do ignore (poll t None 0.01) done;
+    List.iter Domain.join !domains
   in
-  let workers = List.init cfg.workers (fun _ -> Domain.spawn (fun () -> worker_loop t)) in
+  let spawn f =
+    Atomic.incr live;
+    match Domain.spawn (fun () -> Fun.protect ~finally:(fun () -> Atomic.decr live) f) with
+    | d -> domains := d :: !domains
+    | exception Failure msg ->
+        Atomic.decr live;
+        stop_domains ();
+        let msg = Printf.sprintf "cannot start %d workers: %s" cfg.workers msg in
+        raise (Startup_error msg)
+  in
+  (match (t.store, cfg.calib) with
+  | Some store, Some ccfg -> spawn (fun () -> reload_loop t ccfg store)
+  | _ -> ());
+  for _ = 1 to cfg.workers do
+    spawn (fun () -> worker_loop t)
+  done;
   Events.emit ~domain:"serve" Events.Info
     (Printf.sprintf "nisqd listening on %s (%d workers, queue %d)" cfg.socket
        cfg.workers cfg.queue_capacity)
     ~fields:[ ("socket", cfg.socket) ];
   on_ready ();
-  (* Accept loop: select with a short timeout so a drain request (from
-     a signal or the drain verb, either delivered on another domain) is
-     noticed promptly. *)
-  let rec accept_loop () =
+  (* The select loop: a 100 ms tick notices a drain request (from a
+     signal or the drain verb, the latter answered on this very loop)
+     promptly. *)
+  let rec serve accepting =
     match Atomic.get t.drain with
-    | Running ->
-        let readable =
-          match Unix.select [ listen_fd ] [] [] 0.1 with
-          | r, _, _ -> r <> []
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-        in
-        reap_finished t;
-        (if readable then
-           match Unix.accept listen_fd with
-           | fd, _ ->
-               Metrics.incr m_conns;
-               let conn =
-                 { fd; wmutex = Mutex.create (); dead = false; closed = false }
-               in
-               let d = Domain.spawn (fun () -> reader_loop t conn) in
-               locked t.conns_mutex (fun () -> t.conns <- (conn, d) :: t.conns)
-           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR | Unix.EWOULDBLOCK), _, _)
-             ->
-               ());
-        accept_loop ()
-    | _ -> ()
+    | Running -> serve (poll t (if accepting then Some listen_fd else None) 0.1)
+    | cause -> cause
   in
-  accept_loop ();
-  let cause = Atomic.get t.drain in
+  let cause = serve true in
   (* Stage 1: stop accepting. New connects fail, queued submissions get
-     "draining", queued + in-flight work keeps going. *)
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
+     "draining", queued + in-flight work keeps going, and the loop keeps
+     reading so a late submission is answered "draining" too. *)
+  stop_listening ();
   Admission.close_intake t.queue;
   Events.emit ~domain:"serve" Events.Info "nisqd drain stage 1: intake closed";
   let grace_deadline =
@@ -886,43 +869,27 @@ let run ?(on_ready = fun () -> ()) ?(signals = false) cfg =
     if Admission.is_empty t.queue && Atomic.get t.in_flight = 0 then true
     else if Clock.now_ns () >= grace_deadline then false
     else begin
-      Unix.sleepf 0.01;
+      ignore (poll t None 0.01);
       await_idle ()
     end
   in
-  let drained_in_grace = await_idle () in
   (* Stage 2: cancel stragglers. Flipping the global token makes every
      cooperative checkpoint (solver ticks, pool chunk boundaries, the
      injected-slow stall) raise; their requests answer "draining". *)
-  let flipped =
-    if drained_in_grace then false
-    else begin
-      Events.emit ~domain:"serve" Events.Warn
-        (Printf.sprintf
-           "nisqd drain stage 2: grace (%.1fs) expired with work in flight — \
-            cancelling"
-           cfg.drain_grace_s);
-      Deadline.cancel
-        (match cause with By_signal r -> r | _ -> Deadline.Sigterm);
-      true
-    end
-  in
-  Admission.stop t.queue;
-  (* The reload domain finishes its in-flight pipeline (sub-second),
-     answers anything still queued with "draining", and exits. *)
-  Atomic.set t.reload_stop true;
-  Option.iter Domain.join reload_domain;
-  List.iter Domain.join workers;
+  let flipped = not (await_idle ()) in
+  if flipped then begin
+    Events.emit ~domain:"serve" Events.Warn
+      (Printf.sprintf
+         "nisqd drain stage 2: grace (%.1fs) expired with work in flight — \
+          cancelling"
+         cfg.drain_grace_s);
+    Deadline.cancel (match cause with By_signal r -> r | _ -> Deadline.Sigterm)
+  end;
+  stop_domains ();
   (* With zero workers (or a worker lost to the grace cutoff) the queue
      can still hold undelivered entries — every waiter gets an answer. *)
   fail_leftovers t;
-  sever_connections t;
-  if signals then begin
-    (try Sys.set_signal Sys.sigterm !old_term with Invalid_argument _ -> ());
-    (try Sys.set_signal Sys.sigint !old_int with Invalid_argument _ -> ());
-    if Option.is_some t.store then
-      try Sys.set_signal Sys.sighup !old_hup with Invalid_argument _ -> ()
-  end;
+  List.iter hang_up t.conns;
   (* In-process callers (tests) reuse the domain: leave the token as
      clean as we found it. The daemon binary exits right after anyway. *)
   if flipped then Deadline.reset ();

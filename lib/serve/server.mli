@@ -3,16 +3,17 @@
 
     {2 Architecture}
 
-    One listener (the calling domain) accepts connections on a Unix
-    socket and spawns a reader domain per connection. Readers decode
+    One [Unix.select] loop on the calling domain owns the listener and
+    every connection, and is the only code that closes one. It decodes
     frames; administrative verbs ([ping]/[stats]/[drain]) are answered
     inline, work verbs ([compile]/[run]) go through the bounded
     {!Admission} queue — or come straight back as [overloaded] when it
     is full. A fixed pool of worker domains pops entries, runs each
     handler under a per-request {!Nisq_runkit.Deadline.with_scoped}
-    deadline, and delivers one reply body to every (possibly coalesced)
+    deadline, and writes one reply body to every (possibly coalesced)
     waiter. A handler that raises produces a structured [error] reply
     and a [resilience.serve.handler_crashes] tick; the worker survives.
+    A 1 s send timeout drops a peer that stops reading.
 
     {2 Calibration epochs and hot reload}
 
@@ -46,11 +47,11 @@
     [draining] error) and lets queued + in-flight work finish for up to
     [drain_grace_s]; stage 2 flips the process-wide cancellation token
     so stubborn handlers cancel at their next cooperative checkpoint,
-    then undelivered queued entries are failed with [draining], reader
-    connections are severed, and {!run} returns. The reload domain is
-    stopped and joined during drain; still-queued reload triggers are
-    answered with [draining]. A second signal exits immediately
-    ([Unix._exit]) with the signal's conventional code.
+    then the reload and worker domains stop (still-queued reload
+    triggers and undelivered entries are answered [draining]), every
+    connection is closed, and {!run} returns. The loop keeps reading
+    through both stages. A second signal exits immediately with the
+    signal's conventional code.
 
     {2 Fault injection}
 
@@ -79,7 +80,7 @@ type calib_config = {
 }
 
 type config = {
-  socket : string;  (** Unix socket path; created, and unlinked on exit *)
+  socket : string;  (** Unix socket path; created, and unlinked on every exit *)
   workers : int;  (** worker domains (>= 0; 0 admits but never serves) *)
   queue_capacity : int;  (** admission slots before shedding *)
   default_deadline_ms : int;  (** per-request deadline when unspecified *)
@@ -108,10 +109,13 @@ type outcome = Drained of Nisq_runkit.Deadline.reason option
     [None] for the [drain] verb. The daemon binary maps these to exit
     codes 143/130/0. *)
 
+val max_connections : int
+(** Connections served at once; one more gets [overloaded] and EOF. *)
+
 exception Startup_error of string
 (** Raised before serving begins: socket already served by a live
-    daemon, bind failure, unwritable path, or an initial calibration
-    file that fails to parse or sanitize. *)
+    daemon, bind failure, unwritable path, an initial calibration file
+    that fails to parse or sanitize, or too many worker domains. *)
 
 val run : ?on_ready:(unit -> unit) -> ?signals:bool -> config -> outcome
 (** Serve until drained. [on_ready] fires once the socket is
@@ -131,4 +135,4 @@ val handle_work :
     [calib] overrides the synthetic per-request calibration — this is
     how a pinned epoch reaches the compiler. Administrative verbs
     return a non-retryable [error]; the daemon answers those inline on
-    the connection reader, never here. *)
+    its select loop, never here. *)

@@ -470,15 +470,17 @@ let fresh_socket =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "nisq-serve-%d-%d.sock" (Unix.getpid ()) !n)
 
-let with_server ?(workers = 1) ?(queue = 8) ?(deadline_ms = 10_000) ?calib f =
-  let socket = fresh_socket () in
+(* [drain_within]: the closing drain verb must have made [Server.run]
+   return within this many seconds. *)
+let with_server ?(socket = fresh_socket ()) ?(workers = 1) ?(queue = 8)
+    ?(deadline_ms = 10_000) ?(grace = 10.0) ?drain_within ?calib f =
   let cfg =
     {
       Server.socket;
       workers;
       queue_capacity = queue;
       default_deadline_ms = deadline_ms;
-      drain_grace_s = 10.0;
+      drain_grace_s = grace;
       calib;
     }
   in
@@ -504,6 +506,7 @@ let with_server ?(workers = 1) ?(queue = 8) ?(deadline_ms = 10_000) ?calib f =
       end)
     (fun () ->
       let out = f socket in
+      let t0 = Unix.gettimeofday () in
       (match
          Client.call_with_retry ~attempts:3 ~sleep:(fun _ -> ()) ~socket
            { Protocol.id = 99; deadline_ms = None; verb = Protocol.Drain }
@@ -514,6 +517,12 @@ let with_server ?(workers = 1) ?(queue = 8) ?(deadline_ms = 10_000) ?calib f =
       | Server.Drained None -> ()
       | Server.Drained (Some _) -> Alcotest.fail "verb drain blamed a signal");
       finished := true;
+      Option.iter
+        (fun bound ->
+          let took = Unix.gettimeofday () -. t0 in
+          if took > bound then
+            Alcotest.failf "drain took %.2f s, bound %.2f s" took bound)
+        drain_within;
       Alcotest.(check bool) "socket removed after drain" false
         (Sys.file_exists socket);
       out)
@@ -785,6 +794,145 @@ let test_replies_independent_of_telemetry () =
       Alcotest.(check string) (Printf.sprintf "reply %d bytes" (i + 1)) q a)
     (List.combine armed quiet)
 
+(* ---------------------------- the loop ------------------------------ *)
+
+(* A daemon that never answers fails the read instead of hanging. *)
+let connect_raw socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  fd
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let ping_req id = { Protocol.id; deadline_ms = None; verb = Protocol.Ping }
+
+let expect_pong what fd =
+  match Result.map Protocol.reply_of_json (Frame.read fd) with
+  | Ok (Ok { Protocol.body = Protocol.Result _; _ }) -> ()
+  | _ -> Alcotest.failf "%s: no pong" what
+
+(* Worker domains are spawned before serving starts; a count the
+   runtime cannot give is a startup error, not a crash, and the socket
+   is gone so the next daemon on the path starts. *)
+let test_too_many_workers () =
+  let socket = fresh_socket () in
+  (match Server.run { (Server.default_config ~socket) with workers = 1000 } with
+  | _ -> Alcotest.fail "1000 worker domains started"
+  | exception Server.Startup_error _ -> ());
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket);
+  with_server ~socket (fun socket ->
+      let fd = connect_raw socket in
+      Fun.protect ~finally:(fun () -> close_quietly fd) (fun () ->
+          ignore (Frame.write fd (Protocol.request_to_json (ping_req 1)));
+          expect_pong "restarted daemon" fd))
+
+(* A peer that pipelines thousands of qasm-emitting compiles and never
+   reads: its replies fill the socket, and every write to it times out
+   instead of blocking. Returns once the daemon has hung up on it. *)
+let flood socket =
+  let fd = connect_raw socket in
+  let writer =
+    Domain.spawn (fun () ->
+        try
+          for i = 1 to 4000 do
+            let verb =
+              Protocol.Compile (compile_params ~day:(i mod 50) ~emit_qasm:true "bv4")
+            in
+            ignore
+              (Frame.write fd
+                 (Protocol.request_to_json { Protocol.id = i; deadline_ms = None; verb }))
+          done
+        with Unix.Unix_error _ -> ())
+  in
+  fun () ->
+    Domain.join writer;
+    close_quietly fd
+
+(* Another connection still gets its compile; and with a second such
+   peer wedged when the drain starts, the drain verb returns within the
+   grace plus the 1 s send timeout. *)
+let test_non_reading_peer () =
+  let second = ref (fun () -> ()) in
+  Fun.protect ~finally:(fun () -> !second ()) @@ fun () ->
+  with_server ~workers:2 ~grace:1.0 ~drain_within:3.0 (fun socket ->
+      let first = flood socket in
+      Fun.protect ~finally:first (fun () ->
+          Unix.sleepf 0.2;
+          match
+            Client.call_with_retry ~attempts:30 ~socket
+              {
+                Protocol.id = 1;
+                deadline_ms = None;
+                verb = Protocol.Compile (compile_params "bv6");
+              }
+          with
+          | Ok _ -> ()
+          | Error _ -> Alcotest.fail "a wedged peer starved another connection");
+      second := flood socket;
+      Unix.sleepf 0.2)
+
+(* A peer sending one byte every 5 ms takes over a second per frame;
+   pings on another connection must not wait for it. *)
+let test_dribbling_peer () =
+  with_server (fun socket ->
+      let fd = connect_raw socket in
+      let wire =
+        Frame.encode
+          (Protocol.request_to_json
+             {
+               Protocol.id = 1;
+               deadline_ms = None;
+               verb = Protocol.Compile (compile_params (String.make 160 'x'));
+             })
+      in
+      let dribbler =
+        Domain.spawn (fun () ->
+            String.iter
+              (fun c ->
+                ignore (Unix.write_substring fd (String.make 1 c) 0 1);
+                Unix.sleepf 0.005)
+              wire)
+      in
+      Fun.protect ~finally:(fun () -> close_quietly fd) (fun () ->
+          Unix.sleepf 0.05;
+          let worst = ref 0.0 in
+          for i = 1 to 5 do
+            let t0 = Unix.gettimeofday () in
+            (match call_once socket (ping_req i) with
+            | Ok { Protocol.body = Protocol.Result _; _ } -> ()
+            | _ -> Alcotest.fail "ping failed");
+            worst := Float.max !worst (Unix.gettimeofday () -. t0)
+          done;
+          Domain.join dribbler;
+          if !worst > 0.5 then
+            Alcotest.failf "a ping waited %.3f s behind the dribble" !worst;
+          match Result.map Protocol.reply_of_json (Frame.read fd) with
+          | Ok (Ok { Protocol.id = 1; body = Protocol.Failed { code; _ } }) ->
+              Alcotest.(check string) "dribbled request answered" "bad-request"
+                code
+          | _ -> Alcotest.fail "the dribbled request got no reply"))
+
+(* The connection over the cap gets one overloaded frame and EOF; the
+   connections under it are all still served. *)
+let test_connection_cap () =
+  with_server (fun socket ->
+      let conns = List.init Server.max_connections (fun _ -> connect_raw socket) in
+      Fun.protect ~finally:(fun () -> List.iter close_quietly conns) (fun () ->
+          let extra = connect_raw socket in
+          Fun.protect ~finally:(fun () -> close_quietly extra) (fun () ->
+              (match Result.map Protocol.reply_of_json (Frame.read extra) with
+              | Ok (Ok { Protocol.id = 0; body = Protocol.Overloaded _ }) -> ()
+              | _ -> Alcotest.fail "over the cap: no overloaded frame");
+              match Frame.read extra with
+              | Error Frame.Eof -> ()
+              | _ -> Alcotest.fail "over the cap: not closed after one frame");
+          List.iteri
+            (fun i fd ->
+              ignore (Frame.write fd (Protocol.request_to_json (ping_req i)));
+              expect_pong (Printf.sprintf "connection %d" i) fd)
+            conns))
+
 (* --------------------------- faultkit spec -------------------------- *)
 
 let test_server_fault_clauses () =
@@ -855,6 +1003,14 @@ let suite =
       test_coalesced_bytes_identical;
     Alcotest.test_case "determinism: replies independent of telemetry" `Quick
       test_replies_independent_of_telemetry;
+    Alcotest.test_case "loop: too many workers is a startup error" `Quick
+      test_too_many_workers;
+    Alcotest.test_case "loop: a non-reading peer cannot wedge the daemon"
+      `Quick test_non_reading_peer;
+    Alcotest.test_case "loop: a dribbling peer does not delay a ping" `Quick
+      test_dribbling_peer;
+    Alcotest.test_case "loop: the connection over the cap is refused" `Quick
+      test_connection_cap;
     Alcotest.test_case "faultkit: server clauses one-shot" `Quick
       test_server_fault_clauses;
     Alcotest.test_case "faultkit: malformed server clauses rejected" `Quick

@@ -14,7 +14,10 @@
 #      error (exit 4);
 #   3. a --record wire capture round-trips through jsonlint --frame;
 #   4. the drain verb exits 0; SIGTERM drains and exits 143;
-#   5. no socket or temp files survive any of it.
+#   5. a connection storm (200 idle connections) and the same storm
+#      against a daemon limited to 64 open files: the daemon answers a
+#      ping, survives, and drains on SIGTERM with exit 143;
+#   6. no socket or temp files survive any of it.
 #
 # Usage: tools/serve_smoke.sh   (from the repo root; builds first)
 set -eu
@@ -24,10 +27,11 @@ die() { printf '[serve-smoke] FAIL: %s\n' "$*" >&2; exit 1; }
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
-dune build bin/nisqd.exe bin/nisqc.exe tools/jsonlint.exe
+dune build bin/nisqd.exe bin/nisqc.exe tools/jsonlint.exe tools/connstorm.exe
 nisqd=$root/_build/default/bin/nisqd.exe
 nisqc=$root/_build/default/bin/nisqc.exe
 jsonlint=$root/_build/default/tools/jsonlint.exe
+connstorm=$root/_build/default/tools/connstorm.exe
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/serve-smoke.XXXXXX")
 daemon_pid=
@@ -148,5 +152,28 @@ wait_ready
 note "leg 4: SIGTERM -> graceful drain, exit 143"
 kill -TERM "$daemon_pid"
 wait_daemon 143
+
+# ---- 5. connection storms ---------------------------------------------
+
+note "leg 5: 200 idle connections, then a ping on a fresh one"
+"$nisqd" serve -s "$sock" &
+daemon_pid=$!
+wait_ready
+"$connstorm" "$sock" 200 > "$tmp/storm.out" || die "storm: no pong"
+grep -q '^pong with 200 ' "$tmp/storm.out" \
+  || die "storm: ping not answered while 200 connections were open"
+kill -TERM "$daemon_pid"
+wait_daemon 143
+
+# 100 connections cannot all be accepted under 64 open files: accept
+# fails with EMFILE until the idle ones close.
+note "leg 5b: the same storm against a daemon limited to 64 open files"
+(ulimit -n 64; exec "$nisqd" serve -s "$sock") &
+daemon_pid=$!
+wait_ready
+"$connstorm" "$sock" 100 > "$tmp/storm.out" || die "fd-limited storm: no pong"
+kill -TERM "$daemon_pid"
+wait_daemon 143
+note "both storms answered ($(cat "$tmp/storm.out")); SIGTERM drained both"
 
 note "OK"
